@@ -1,5 +1,6 @@
 #include "src/cache/page_cache.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace graysim {
@@ -31,7 +32,9 @@ bool PageCache::Insert(Inum inum, std::uint64_t page, bool dirty, Nanos* evict_c
     dirty_order_.PushBack(mem_->frames(), ref);
   }
   pages_.Put(key, ref);
-  ++per_file_count_[inum];
+  FileState& file = files_[inum];
+  ++file.pages;
+  file.page_span = std::max(file.page_span, page + 1);
   return true;
 }
 
@@ -62,17 +65,44 @@ bool PageCache::OnEvicted(const Page& page) {
     // handler returns), so its dirty links are intact.
     dirty_order_.Remove(mem_->frames(), *ref);
   }
-  std::uint64_t* count = per_file_count_.Find(inum);
-  assert(count != nullptr);
-  if (--*count == 0) {
-    per_file_count_.Erase(inum);
+  FileState* file = files_.Find(inum);
+  assert(file != nullptr);
+  if (--file->pages == 0) {
+    files_.Erase(inum);
   }
   pages_.Erase(key);
   return was_dirty;
 }
 
+void PageCache::CollectFileSlots(Inum inum, std::uint64_t first_page,
+                                 std::uint64_t page_span) {
+  drop_slots_.clear();
+  const std::size_t slots = pages_.slot_count();
+  if (page_span - first_page <= slots) {
+    for (std::uint64_t page = first_page; page < page_span; ++page) {
+      if (const std::size_t slot = pages_.SlotOf(Key(inum, page)); slot < slots) {
+        drop_slots_.push_back(slot);
+      }
+    }
+    std::sort(drop_slots_.begin(), drop_slots_.end());
+    return;
+  }
+  for (std::size_t slot = 0; slot < slots; ++slot) {
+    const std::uint64_t key = pages_.slot_key(slot);
+    if (key != FlatMap<FrameId>::kEmptyKey && KeyInum(key) == inum &&
+        KeyPage(key) >= first_page) {
+      drop_slots_.push_back(slot);
+    }
+  }
+}
+
 void PageCache::DropFile(Inum inum) {
-  pages_.EraseIf([&](std::uint64_t key, FrameId ref) {
+  const FileState* file = files_.Find(inum);
+  if (file == nullptr) {
+    return;  // nothing resident
+  }
+  CollectFileSlots(inum, 0, file->page_span);
+  pages_.EraseIfInClusters(drop_slots_, [&](std::uint64_t key, FrameId ref) {
     if (KeyInum(key) != inum) {
       return false;
     }
@@ -80,21 +110,37 @@ void PageCache::DropFile(Inum inum) {
     mem_->Remove(ref);
     return true;
   });
-  per_file_count_.Erase(inum);
+  files_.Erase(inum);
 }
 
 void PageCache::DropFilePagesFrom(Inum inum, std::uint64_t first_page) {
-  pages_.EraseIf([&](std::uint64_t key, FrameId ref) {
+  FileState* file = files_.Find(inum);
+  if (file == nullptr || file->page_span <= first_page) {
+    return;  // nothing resident at or past first_page
+  }
+  CollectFileSlots(inum, first_page, file->page_span);
+  // Every remaining page lies below first_page. Set before the erase loop,
+  // which may drop the file's record when its last page goes.
+  file->page_span = first_page;
+  pages_.EraseIfInClusters(drop_slots_, [&](std::uint64_t key, FrameId ref) {
     if (KeyInum(key) != inum || KeyPage(key) < first_page) {
       return false;
     }
     ClearDirty(ref);
     mem_->Remove(ref);
-    std::uint64_t* count = per_file_count_.Find(inum);
-    if (--*count == 0) {
-      per_file_count_.Erase(inum);
+    FileState* owner = files_.Find(inum);
+    if (--owner->pages == 0) {
+      files_.Erase(inum);
     }
     return true;
+  });
+}
+
+void PageCache::RebuildPageSpans() {
+  pages_.ForEach([&](std::uint64_t key, FrameId) {
+    if (FileState* file = files_.Find(KeyInum(key)); file != nullptr) {
+      file->page_span = std::max(file->page_span, KeyPage(key) + 1);
+    }
   });
 }
 
@@ -106,7 +152,7 @@ void PageCache::DropAll(std::vector<std::pair<Inum, std::uint64_t>>* dirty_dropp
     mem_->Remove(ref);
   });
   pages_.Clear();
-  per_file_count_.Clear();
+  files_.Clear();
   dirty_order_.Clear();
 }
 
@@ -152,8 +198,8 @@ std::uint64_t PageCache::CleanDirtyRunAfter(Inum inum, std::uint64_t page,
 }
 
 std::uint64_t PageCache::ResidentPagesOfFile(Inum inum) const {
-  const std::uint64_t* count = per_file_count_.Find(inum);
-  return count == nullptr ? 0 : *count;
+  const FileState* file = files_.Find(inum);
+  return file == nullptr ? 0 : file->pages;
 }
 
 }  // namespace graysim

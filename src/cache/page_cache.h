@@ -10,6 +10,14 @@
 // the shared FrameTable (dirty_prev/dirty_next ids in each frame), so the
 // access / insert / dirty paths perform no heap allocation. A file page's
 // Page::dirty bit is exactly "on the dirty chain".
+//
+// Per-file drops (unlink, creat over a file, rename over a file, shrinking
+// truncate) cost the file's page span, not the table: each file's record
+// bounds its resident page indexes, the drop looks those keys up, and it
+// erases them by running FlatMap::EraseIf's loop over only the probe
+// clusters that hold them (FlatMap::EraseIfInClusters). That keeps the
+// frame-release order and final slot layout of a whole-table EraseIf,
+// both of which are machine state.
 #ifndef SRC_CACHE_PAGE_CACHE_H_
 #define SRC_CACHE_PAGE_CACHE_H_
 
@@ -110,24 +118,34 @@ class PageCache {
   // this cache's own MemSystem.
   void CopyStateFrom(const PageCache& other) {
     pages_ = other.pages_;
-    per_file_count_ = other.per_file_count_;
+    files_ = other.files_;
     dirty_order_ = other.dirty_order_;
   }
 
   // Heap footprint of the residency maps (snapshot-size accounting).
   [[nodiscard]] std::uint64_t ApproxBytes() const {
-    return sizeof(PageCache) + pages_.capacity_bytes() + per_file_count_.capacity_bytes();
+    return sizeof(PageCache) + pages_.capacity_bytes() + files_.capacity_bytes();
   }
+
+  // Per-file record. `pages` (resident page count) is machine state and is
+  // checkpointed; `page_span` is derived: one past the highest page index
+  // inserted since the file last had no resident pages, so every resident
+  // page index of the file lies below it.
+  struct FileState {
+    std::uint64_t pages = 0;
+    std::uint64_t page_span = 0;
+  };
 
   // --- checkpoint surface (machine_image_io) ------------------------------
   [[nodiscard]] const FlatMap<FrameId>& pages_map() const { return pages_; }
   [[nodiscard]] FlatMap<FrameId>& pages_map_mutable() { return pages_; }
-  [[nodiscard]] const FlatMap<std::uint64_t>& per_file_counts() const {
-    return per_file_count_;
-  }
-  [[nodiscard]] FlatMap<std::uint64_t>& per_file_counts_mutable() { return per_file_count_; }
+  [[nodiscard]] const FlatMap<FileState>& files() const { return files_; }
+  [[nodiscard]] FlatMap<FileState>& files_mutable() { return files_; }
   [[nodiscard]] const DirtyList& dirty_list() const { return dirty_order_; }
   void RestoreDirtyList(const DirtyList& list) { dirty_order_ = list; }
+  // Recomputes every file's page_span from the page table (after a restore
+  // that wrote only the page counts).
+  void RebuildPageSpans();
 
  private:
   // Key packing: the full 32-bit (disk-tagged) inum in the high bits and a
@@ -142,10 +160,16 @@ class PageCache {
   // Unlinks the frame from the dirty chain if dirty (clearing Page::dirty).
   void ClearDirty(FrameId frame);
 
+  // Fills drop_slots_ with the ascending page-table slots of the file's
+  // resident pages in [first_page, page_span): by key lookup over the span,
+  // or by one pass over the slots when the span is the larger of the two.
+  void CollectFileSlots(Inum inum, std::uint64_t first_page, std::uint64_t page_span);
+
   MemSystem* mem_;
-  FlatMap<FrameId> pages_;               // packed key -> frame id
-  FlatMap<std::uint64_t> per_file_count_;  // inum -> resident pages
-  DirtyList dirty_order_;                // intrusive chain, oldest first
+  FlatMap<FrameId> pages_;        // packed key -> frame id
+  FlatMap<FileState> files_;      // inum -> resident pages and page span
+  DirtyList dirty_order_;         // intrusive chain, oldest first
+  std::vector<std::size_t> drop_slots_;  // scratch for per-file drops
 };
 
 }  // namespace graysim

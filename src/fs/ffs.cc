@@ -44,7 +44,7 @@ Ffs::Ffs(FsParams params, std::uint64_t disk_capacity_bytes) : params_(params) {
       (params_.inodes_per_cg + inodes_per_block - 1) / inodes_per_block;
 
   groups_.resize(cg_count);
-  inodes_.resize(cg_count * params_.inodes_per_cg + 1);
+  inode_slots_ = cg_count * params_.inodes_per_cg + 1;
   for (std::uint64_t c = 0; c < cg_count; ++c) {
     CylGroup& cg = groups_[c];
     cg.first_block = c * params_.blocks_per_cg;
@@ -131,10 +131,11 @@ FsErr Ffs::ResolveParent(std::string_view path, Inum* parent, std::string* leaf)
 }
 
 const Ffs::Inode* Ffs::Get(Inum inum) const {
-  if (inum == kInvalidInum || inum >= inodes_.size() || !inodes_[inum].in_use) {
+  if (inum == kInvalidInum || inum >= inode_slots_) {
     return nullptr;
   }
-  return &inodes_[inum];
+  const std::uint32_t* record = record_of_.Find(inum);
+  return record == nullptr ? nullptr : &records_[*record];
 }
 
 Ffs::Inode* Ffs::Get(Inum inum) {
@@ -157,9 +158,7 @@ Inum Ffs::AllocInode(std::uint32_t cg_hint, bool is_dir) {
         cg.inode_used[slot] = true;
         --cg.free_inodes;
         const Inum inum = static_cast<Inum>(c * params_.inodes_per_cg + slot + 1);
-        Inode& node = inodes_[inum];
-        node = Inode{};
-        node.in_use = true;
+        Inode& node = NewRecord(inum);
         node.is_dir = is_dir;
         node.cg = c;
         node.creation_seq = ++creation_counter_;
@@ -183,7 +182,22 @@ void Ffs::FreeInode(Inum inum) {
   for (const std::uint64_t b : node->blocks) {
     FreeBlock(b);
   }
-  *node = Inode{};
+  *node = Inode{};  // releases the record's heap now, not at its reuse
+  free_records_.push_back(*record_of_.Find(inum));
+  record_of_.Erase(inum);
+}
+
+Ffs::Inode& Ffs::NewRecord(Inum inum) {
+  std::uint32_t index = 0;
+  if (free_records_.empty()) {
+    index = static_cast<std::uint32_t>(records_.size());
+    records_.emplace_back();
+  } else {
+    index = free_records_.back();
+    free_records_.pop_back();
+  }
+  record_of_.Put(inum, index);
+  return records_[index];
 }
 
 // --- block allocation ---
@@ -662,12 +676,22 @@ void Ffs::SerializeTo(ByteWriter& w) const {
     w.U64(g.rotor);
   }
 
-  w.U64(inodes_.size());
-  for (const Inode& ino : inodes_) {
-    w.Bool(ino.in_use);
-    if (!ino.in_use) {
-      continue;
+  // One in-use flag per logical slot, each live slot followed by its inode.
+  std::vector<Inum> live;
+  live.reserve(record_of_.size());
+  record_of_.ForEach([&live](std::uint64_t inum, std::uint32_t) {
+    live.push_back(static_cast<Inum>(inum));
+  });
+  std::sort(live.begin(), live.end());
+  w.U64(inode_slots_);
+  std::uint64_t next_slot = 0;
+  for (const Inum inum : live) {
+    for (; next_slot < inum; ++next_slot) {
+      w.Bool(false);
     }
+    next_slot = static_cast<std::uint64_t>(inum) + 1;
+    const Inode& ino = records_[*record_of_.Find(inum)];
+    w.Bool(true);
     w.Bool(ino.is_dir);
     w.U64(ino.size);
     w.I64(ino.atime);
@@ -687,6 +711,9 @@ void Ffs::SerializeTo(ByteWriter& w) const {
       const auto it = ino.children.find(name);
       w.U32(it == ino.children.end() ? kInvalidInum : it->second);
     }
+  }
+  for (; next_slot < inode_slots_; ++next_slot) {
+    w.Bool(false);
   }
 
   w.U32(root_);
@@ -720,13 +747,18 @@ bool Ffs::DeserializeFrom(ByteReader& r) {
     g.rotor = r.U64();
   }
 
-  inodes_.clear();
-  inodes_.resize(r.Count(1));
-  for (Inode& ino : inodes_) {
-    ino.in_use = r.Bool();
-    if (!ino.in_use) {
+  records_.clear();
+  free_records_.clear();
+  record_of_ = FlatMap<std::uint32_t>();
+  inode_slots_ = r.Count(1);
+  if (inode_slots_ > std::uint64_t{1} << 32) {
+    return false;  // inums are 32-bit
+  }
+  for (std::uint64_t slot = 0; slot < inode_slots_; ++slot) {
+    if (!r.Bool()) {
       continue;
     }
+    Inode& ino = NewRecord(static_cast<Inum>(slot));
     ino.is_dir = r.Bool();
     ino.size = r.U64();
     ino.atime = r.I64();
@@ -739,9 +771,7 @@ bool Ffs::DeserializeFrom(ByteReader& r) {
       b = r.U64();
     }
     const std::uint64_t n_children = r.Count(9);  // name length + inum
-    ino.child_order.clear();
     ino.child_order.reserve(n_children);
-    ino.children.clear();
     for (std::uint64_t i = 0; i < n_children; ++i) {
       std::string name = r.Str();
       const Inum child = r.U32();

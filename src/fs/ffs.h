@@ -24,6 +24,7 @@
 
 #include "src/sim/byte_io.h"
 #include "src/sim/clock.h"
+#include "src/sim/flat_map.h"
 
 namespace graysim {
 
@@ -153,8 +154,9 @@ class Ffs {
   // Rough heap footprint in bytes (snapshot-size accounting; directory
   // payload strings are counted structurally, not byte-exactly).
   [[nodiscard]] std::uint64_t ApproxBytes() const {
-    std::uint64_t bytes = sizeof(Ffs);
-    for (const Inode& ino : inodes_) {
+    std::uint64_t bytes = sizeof(Ffs) + record_of_.capacity_bytes() +
+                          free_records_.capacity() * sizeof(std::uint32_t);
+    for (const Inode& ino : records_) {
       bytes += sizeof(Inode) + ino.blocks.capacity() * sizeof(std::uint64_t) +
                ino.child_order.capacity() * sizeof(std::string);
     }
@@ -166,7 +168,6 @@ class Ffs {
 
  private:
   struct Inode {
-    bool in_use = false;
     bool is_dir = false;
     std::uint64_t size = 0;
     Nanos atime = 0;
@@ -196,13 +197,20 @@ class Ffs {
                                     std::string* leaf) const;
   [[nodiscard]] FsErr ResolveInum(std::string_view path, Inum* out) const;
 
+  // The live inode `inum`, or null when it is out of range or free.
   [[nodiscard]] const Inode* Get(Inum inum) const;
   [[nodiscard]] Inode* Get(Inum inum);
 
   // Allocates an inode in (preferably) cylinder group `cg_hint`, lowest free
   // slot first (FFS reuses freed inodes lowest-first — key to Fig 6 aging).
+  // May grow the record slab, which moves records: re-Get any Inode pointer
+  // held across the call.
   [[nodiscard]] Inum AllocInode(std::uint32_t cg_hint, bool is_dir);
+  // Frees the inode and its blocks. Moves no other live record, so parent
+  // pointers and `children` iterators held across it stay valid.
   void FreeInode(Inum inum);
+  // A cleared record for `inum`, taken from the free list or appended.
+  Inode& NewRecord(Inum inum);
 
   // Allocates one data block for `inode`; `prev` is the previous block of
   // the file (contiguity preference) or 0 for the first block.
@@ -219,7 +227,16 @@ class Ffs {
 
   FsParams params_;
   std::vector<CylGroup> groups_;
-  std::vector<Inode> inodes_;  // indexed by inum (slot 0 unused)
+  // The inode table holds live inodes only: a slab of records, recycled
+  // through a free list, and an inum -> record index. Host cost follows the
+  // live inode count, not the table's capacity (tens of thousands of slots
+  // per disk, of which a machine typically uses a few hundred).
+  std::vector<Inode> records_;
+  std::vector<std::uint32_t> free_records_;  // indexes of cleared records
+  FlatMap<std::uint32_t> record_of_;         // live inum -> index in records_
+  // Logical table size, cg_count * inodes_per_cg + 1 (inum 0 is never
+  // used): the bound Get checks and the slot count a checkpoint records.
+  std::uint64_t inode_slots_ = 0;
   Inum root_ = kInvalidInum;
   std::uint64_t free_data_blocks_ = 0;
   std::uint64_t creation_counter_ = 0;

@@ -534,7 +534,9 @@ void PutMem(ByteWriter& w, const Os::Image& os) {
   w.U64(ms.admissions_denied);
 
   PutFlatMap(w, os.cache->pages_map(), [&w](const FrameId& f) { w.U32(f); });
-  PutFlatMap(w, os.cache->per_file_counts(), [&w](const std::uint64_t& c) { w.U64(c); });
+  // Only the page counts: each file's page span is derived state, rebuilt
+  // from the page table on load.
+  PutFlatMap(w, os.cache->files(), [&w](const PageCache::FileState& f) { w.U64(f.pages); });
   w.U32(os.cache->dirty_list().front());
   w.U32(os.cache->dirty_list().back());
   w.U64(os.cache->dirty_list().size());
@@ -604,10 +606,11 @@ void PutMem(ByteWriter& w, const Os::Image& os) {
                   [&r]() -> FrameId { return r.U32(); })) {
     return false;
   }
-  if (!GetFlatMap(r, &os->cache->per_file_counts_mutable(),
-                  [&r]() -> std::uint64_t { return r.U64(); })) {
+  if (!GetFlatMap(r, &os->cache->files_mutable(),
+                  [&r]() { return PageCache::FileState{r.U64(), 0}; })) {
     return false;
   }
+  os->cache->RebuildPageSpans();
   DirtyList dirty;
   {
     const FrameId head = r.U32();

@@ -1,5 +1,8 @@
 #include "src/os/scheduler.h"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
@@ -51,8 +54,59 @@ namespace {
 
 // 512 KB per fiber: simulated process bodies are shallow (no recursion into
 // user data), but event closures — daemon reclaim, cache fills — run on
-// whichever fiber stack is current, so leave generous headroom.
+// whichever fiber stack is current, so leave generous headroom. Pages are
+// committed only as a fiber touches them, so the headroom costs address
+// space, not memory.
 constexpr std::size_t kFiberStackBytes = 512 * 1024;
+
+// Fiber stacks of one host thread. Each stack is an anonymous
+// MAP_NORESERVE mapping: one PROT_NONE guard page, then kFiberStackBytes of
+// usable stack above it (stacks grow down, so an overflow runs into the
+// guard and faults). Released stacks keep their committed pages and go back
+// on a free list that every scheduler on the thread draws from; a stack
+// never crosses threads, because each Run() acquires and releases its
+// stacks on the thread that calls it.
+class StackPool {
+ public:
+  StackPool() = default;
+  StackPool(const StackPool&) = delete;
+  StackPool& operator=(const StackPool&) = delete;
+
+  ~StackPool() {
+    for (char* stack : free_) {
+      munmap(stack - GuardBytes(), GuardBytes() + kFiberStackBytes);
+    }
+  }
+
+  // Returns the low end of a usable kFiberStackBytes range.
+  char* Acquire() {
+    if (!free_.empty()) {
+      char* stack = free_.back();
+      free_.pop_back();
+      return stack;
+    }
+    const std::size_t guard = GuardBytes();
+    void* map = mmap(nullptr, guard + kFiberStackBytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1, 0);
+    if (map == MAP_FAILED || mprotect(map, guard, PROT_NONE) != 0) {
+      std::perror("graysim: fiber stack mapping");
+      std::abort();
+    }
+    return static_cast<char*>(map) + guard;
+  }
+
+  void Release(char* stack) { free_.push_back(stack); }
+
+ private:
+  static std::size_t GuardBytes() {
+    static const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+    return page;
+  }
+
+  std::vector<char*> free_;
+};
+
+thread_local StackPool t_stack_pool;
 
 // The trampoline installed by makecontext takes no arguments, so the
 // scheduler whose Run() is executing parks itself here. thread_local, not
@@ -87,7 +141,7 @@ void Scheduler::SwitchToFiber(int i) {
   current_ = i;
   f.slice_used = 0;
 #if defined(GRAYSIM_ASAN_FIBERS)
-  __sanitizer_start_switch_fiber(&main_fake_stack_, f.stack.get(), f.stack_size);
+  __sanitizer_start_switch_fiber(&main_fake_stack_, f.stack, kFiberStackBytes);
 #endif
 #if defined(GRAYSIM_TSAN_FIBERS)
   __tsan_switch_to_fiber(f.tsan_fiber, 0);
@@ -135,16 +189,10 @@ void Scheduler::Run(const std::vector<std::function<void(int)>>& bodies) {
   fibers_.reserve(n);
   for (int i = 0; i < n; ++i) {
     auto f = std::make_unique<Fiber>();
-    if (!stack_pool_.empty()) {
-      f->stack = std::move(stack_pool_.back());
-      stack_pool_.pop_back();
-    } else {
-      f->stack = std::make_unique<char[]>(kFiberStackBytes);
-    }
-    f->stack_size = kFiberStackBytes;
+    f->stack = t_stack_pool.Acquire();
     getcontext(&f->ctx);
-    f->ctx.uc_stack.ss_sp = f->stack.get();
-    f->ctx.uc_stack.ss_size = f->stack_size;
+    f->ctx.uc_stack.ss_sp = f->stack;
+    f->ctx.uc_stack.ss_size = kFiberStackBytes;
     f->ctx.uc_link = nullptr;  // fibers exit via SwitchToMain, never return
     makecontext(&f->ctx, &Scheduler::Trampoline, 0);
 #if defined(GRAYSIM_TSAN_FIBERS)
@@ -193,7 +241,7 @@ void Scheduler::Run(const std::vector<std::function<void(int)>>& bodies) {
 #if defined(GRAYSIM_TSAN_FIBERS)
     __tsan_destroy_fiber(f->tsan_fiber);
 #endif
-    stack_pool_.push_back(std::move(f->stack));
+    t_stack_pool.Release(f->stack);
   }
   fibers_.clear();
 }

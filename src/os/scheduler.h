@@ -17,6 +17,13 @@
 // running-scheduler slot consulted by the makecontext trampoline is
 // thread_local, so N independent machines may run on N host threads
 // concurrently (the fleet model) with zero shared state between them.
+//
+// Fiber stacks are lazily committed mappings with a PROT_NONE guard page
+// below each one, so a stack costs the host only the pages a fiber touches
+// and an overflow faults instead of running into other memory. Stacks are
+// recycled through one pool per host thread, shared by every scheduler that
+// runs there: a fleet of machines replayed one after another on a thread
+// reuses one set of warm stacks.
 #ifndef SRC_OS_SCHEDULER_H_
 #define SRC_OS_SCHEDULER_H_
 
@@ -79,8 +86,7 @@ class Scheduler {
 
   struct Fiber {
     ucontext_t ctx{};
-    std::unique_ptr<char[]> stack;
-    std::size_t stack_size = 0;
+    char* stack = nullptr;  // usable range, just above the guard page
     State state = State::kReady;
     Nanos slice_used = 0;
     // ASan bookkeeping: the fake-stack handle saved across switches away
@@ -109,10 +115,6 @@ class Scheduler {
   obs::TraceSink* trace_ = nullptr;
   std::vector<std::uint32_t> fiber_tracks_;  // trace track id per fiber index
   std::vector<std::unique_ptr<Fiber>> fibers_;
-  // Fiber stacks recycled across Run() calls: repeated process batches
-  // (experiment trials, benchmark rounds) reuse warm stacks instead of
-  // paying a 512 KB allocation per process per run.
-  std::vector<std::unique_ptr<char[]>> stack_pool_;
   const std::vector<std::function<void(int)>>* bodies_ = nullptr;
   ucontext_t main_ctx_{};
   void* main_fake_stack_ = nullptr;

@@ -17,6 +17,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -50,22 +51,28 @@ class FlatMap {
     }
   }
 
-  [[nodiscard]] V* Find(std::uint64_t key) {
+  // Slot index holding `key`, or slot_count() when absent.
+  [[nodiscard]] std::size_t SlotOf(std::uint64_t key) const {
     assert(key != kEmptyKey);
     if (slots_.empty()) {
-      return nullptr;
+      return 0;
     }
     std::size_t i = Hash(key) & mask_;
     while (true) {
-      Slot& s = slots_[i];
+      const Slot& s = slots_[i];
       if (s.key == key) {
-        return &s.value;
+        return i;
       }
       if (s.key == kEmptyKey) {
-        return nullptr;
+        return slots_.size();
       }
       i = (i + 1) & mask_;
     }
+  }
+
+  [[nodiscard]] V* Find(std::uint64_t key) {
+    const std::size_t i = SlotOf(key);
+    return i == slots_.size() ? nullptr : &slots_[i].value;
   }
 
   [[nodiscard]] const V* Find(std::uint64_t key) const {
@@ -142,13 +149,37 @@ class FlatMap {
   // pure predicate over (key, value).
   template <typename Pred>
   void EraseIf(Pred&& pred) {
-    for (std::size_t i = 0; i < slots_.size();) {
-      Slot& s = slots_[i];
-      if (s.key != kEmptyKey && pred(s.key, s.value)) {
-        EraseAt(i);  // re-examine slot i: deletion may shift an entry into it
-      } else {
-        ++i;
+    EraseIfIn(0, slots_.size(), pred);
+  }
+
+  // EraseIf restricted to the entries it could erase: `slots` must list, in
+  // ascending order, the slot of every entry pred accepts (it may list
+  // others). Runs EraseIf's own loop from each listed slot to the end of
+  // its run of occupied slots, skipping slots that an earlier run already
+  // covered, so pred sees the same entries in the same order and the table
+  // ends in the same layout as a whole-table EraseIf. Why that holds:
+  //  * backward-shift deletion only moves entries toward the hole, inside
+  //    the probe cluster (the cyclic run of occupied slots) that holds it,
+  //    so clusters never exchange entries and erasing only splits them;
+  //  * EraseIf's scan is linear, so a cluster that wraps past the last slot
+  //    is two runs to it: the head (from slot 0) scanned first, the tail
+  //    last, and a tail deletion may pull head entries back past the end —
+  //    entries pred already declined — exactly as here;
+  //  * within a run, slots before the first listed one hold entries pred
+  //    declines and nothing moves into them, since holes open only at or
+  //    past the scan position.
+  template <typename Pred>
+  void EraseIfInClusters(std::span<const std::size_t> slots, Pred&& pred) {
+    std::size_t covered = 0;  // one past the end of the last run scanned
+    for (const std::size_t first : slots) {
+      if (first < covered) {
+        continue;
       }
+      covered = first + 1;
+      while (covered < slots_.size() && slots_[covered].key != kEmptyKey) {
+        ++covered;
+      }
+      EraseIfIn(first, covered, pred);
     }
   }
 
@@ -200,6 +231,19 @@ class FlatMap {
     x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
     x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
     return static_cast<std::size_t>(x ^ (x >> 31));
+  }
+
+  // EraseIf's loop over slots [begin, end).
+  template <typename Pred>
+  void EraseIfIn(std::size_t begin, std::size_t end, Pred& pred) {
+    for (std::size_t i = begin; i < end;) {
+      Slot& s = slots_[i];
+      if (s.key != kEmptyKey && pred(s.key, s.value)) {
+        EraseAt(i);  // re-examine slot i: deletion may shift an entry into it
+      } else {
+        ++i;
+      }
+    }
   }
 
   void MaybeGrow() {

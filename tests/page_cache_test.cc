@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <string>
 #include <vector>
 
 #include "tests/test_util.h"
@@ -155,6 +157,176 @@ TEST_F(PageCacheTest, AccessRefreshesLruOrder) {
   ASSERT_TRUE(cache_.Insert(2, 0, false, &cost_));
   EXPECT_TRUE(cache_.Resident(1, 0)) << "refreshed page survived";
   EXPECT_FALSE(cache_.Resident(1, 1)) << "page 1 became LRU and was evicted";
+}
+
+// ---- differential test of the per-file drop path ---------------------------
+
+// A cache over its own frame pool; evictions feed back into the cache the
+// way the Os eviction handler does.
+struct CacheRig {
+  explicit CacheRig(std::uint64_t frames)
+      : mem(MemSystem::Config{frames, MemPolicy::kUnifiedLru, 0}),
+        cache(&mem),
+        handler([this](const Page& page) {
+          (void)cache.OnEvicted(page);
+          return Nanos{0};
+        }) {
+    mem.set_evict_handler(&handler);
+  }
+
+  MemSystem mem;
+  PageCache cache;
+  FnEviction handler;
+};
+
+Inum KeyInum(std::uint64_t key) { return static_cast<Inum>(key >> 32); }
+std::uint64_t KeyPage(std::uint64_t key) { return key & 0xFFFFFFFFULL; }
+
+// The whole-table drops PageCache made before drops became per-file:
+// FlatMap::EraseIf over every slot. Kept here as the reference the per-file
+// drops must reproduce exactly.
+void FullScanDrop(CacheRig& rig, Inum inum, std::uint64_t first_page, bool whole_file) {
+  DirtyList dirty = rig.cache.dirty_list();
+  FlatMap<PageCache::FileState>& files = rig.cache.files_mutable();
+  rig.cache.pages_map_mutable().EraseIf([&](std::uint64_t key, FrameId ref) {
+    if (KeyInum(key) != inum || KeyPage(key) < first_page) {
+      return false;
+    }
+    if (rig.mem.frames().dirty(ref)) {
+      dirty.Remove(rig.mem.frames(), ref);
+      rig.mem.MarkClean(ref);
+    }
+    rig.mem.Remove(ref);
+    if (!whole_file && --files.Find(inum)->pages == 0) {
+      files.Erase(inum);
+    }
+    return true;
+  });
+  if (whole_file) {
+    files.Erase(inum);
+  }
+  rig.cache.RestoreDirtyList(dirty);
+}
+
+// The first difference between two caches' machine state — raw page-table
+// slots, per-file page counts, dirty-chain order and the frame free list —
+// or "" when they match.
+std::string FirstDifference(const CacheRig& a, const CacheRig& b) {
+  const FlatMap<FrameId>& pa = a.cache.pages_map();
+  const FlatMap<FrameId>& pb = b.cache.pages_map();
+  if (pa.slot_count() != pb.slot_count()) {
+    return "page table capacity";
+  }
+  for (std::size_t i = 0; i < pa.slot_count(); ++i) {
+    if (pa.slot_key(i) != pb.slot_key(i) ||
+        (pa.slot_key(i) != FlatMap<FrameId>::kEmptyKey && pa.slot_value(i) != pb.slot_value(i))) {
+      return "page table slot " + std::to_string(i);
+    }
+  }
+  const FlatMap<PageCache::FileState>& fa = a.cache.files();
+  const FlatMap<PageCache::FileState>& fb = b.cache.files();
+  if (fa.slot_count() != fb.slot_count()) {
+    return "file table capacity";
+  }
+  for (std::size_t i = 0; i < fa.slot_count(); ++i) {
+    if (fa.slot_key(i) != fb.slot_key(i) ||
+        (fa.slot_key(i) != FlatMap<PageCache::FileState>::kEmptyKey &&
+         fa.slot_value(i).pages != fb.slot_value(i).pages)) {
+      return "file table slot " + std::to_string(i);
+    }
+  }
+  std::vector<FrameId> chain_a;
+  std::vector<FrameId> chain_b;
+  for (FrameId f = a.cache.dirty_list().front(); f != kNoFrame;
+       f = DirtyList::Next(a.mem.frames(), f)) {
+    chain_a.push_back(f);
+  }
+  for (FrameId f = b.cache.dirty_list().front(); f != kNoFrame;
+       f = DirtyList::Next(b.mem.frames(), f)) {
+    chain_b.push_back(f);
+  }
+  if (chain_a != chain_b || a.cache.dirty_pages() != b.cache.dirty_pages()) {
+    return "dirty chain";
+  }
+  if (a.mem.frames().free_list() != b.mem.frames().free_list()) {
+    return "frame free list";
+  }
+  return "";
+}
+
+// True when the table's probe cluster that wraps past the last slot (if
+// any) holds a page of `inum`.
+bool WrappingClusterHolds(const FlatMap<FrameId>& pages, Inum inum) {
+  const std::size_t n = pages.slot_count();
+  if (n == 0 || pages.slot_key(0) == FlatMap<FrameId>::kEmptyKey ||
+      pages.slot_key(n - 1) == FlatMap<FrameId>::kEmptyKey) {
+    return false;
+  }
+  for (std::size_t i = 0; pages.slot_key(i) != FlatMap<FrameId>::kEmptyKey; ++i) {
+    if (KeyInum(pages.slot_key(i)) == inum) {
+      return true;
+    }
+  }
+  for (std::size_t i = n - 1; pages.slot_key(i) != FlatMap<FrameId>::kEmptyKey; --i) {
+    if (KeyInum(pages.slot_key(i)) == inum) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// Seeded random Insert / MarkDirty / Access / write-behind / drop sequences
+// under eviction pressure, applied to a cache that drops per file and to one
+// that drops by whole-table scan. The two must agree slot for slot after
+// every operation. Frame pools of 8 and 40 give 16- and 128-slot tables, so
+// probe clusters are long and often wrap past the last slot; pages far past
+// the table size send some drops down the span-larger-than-table path.
+TEST(PageCacheDropDifferentialTest, PerFileDropsMatchFullScanReference) {
+  int wrapped_drops = 0;
+  int drops = 0;
+  for (const std::uint64_t frames : {std::uint64_t{8}, std::uint64_t{40}}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE("frames " + std::to_string(frames) + " seed " + std::to_string(seed));
+      CacheRig subject(frames);
+      CacheRig reference(frames);
+      std::mt19937_64 rng(seed * 0x9E3779B97F4A7C15ULL + frames);
+      auto pick = [&rng](std::uint64_t n) { return rng() % n; };
+      for (int op = 0; op < 3000; ++op) {
+        const Inum inum = static_cast<Inum>(1 + pick(6));
+        const std::uint64_t page = pick(10) == 0 ? 200 + pick(16) : pick(24);
+        const std::uint64_t kind = pick(100);
+        Nanos cost = 0;
+        if (kind < 50) {
+          const bool dirty = pick(3) == 0;
+          ASSERT_EQ(subject.cache.Insert(inum, page, dirty, &cost),
+                    reference.cache.Insert(inum, page, dirty, &cost));
+        } else if (kind < 60) {
+          if (subject.cache.Resident(inum, page)) {
+            subject.cache.MarkDirty(inum, page);
+            reference.cache.MarkDirty(inum, page);
+          }
+        } else if (kind < 68) {
+          ASSERT_EQ(subject.cache.Access(inum, page), reference.cache.Access(inum, page));
+        } else if (kind < 72) {
+          ASSERT_EQ(subject.cache.TakeOldestDirty(2), reference.cache.TakeOldestDirty(2));
+        } else {
+          const bool whole_file = kind < 86;
+          const std::uint64_t first_page = whole_file ? 0 : pick(26);
+          ++drops;
+          wrapped_drops += WrappingClusterHolds(subject.cache.pages_map(), inum) ? 1 : 0;
+          if (whole_file) {
+            subject.cache.DropFile(inum);
+          } else {
+            subject.cache.DropFilePagesFrom(inum, first_page);
+          }
+          FullScanDrop(reference, inum, first_page, whole_file);
+        }
+        ASSERT_EQ(FirstDifference(subject, reference), "") << "after op " << op;
+      }
+    }
+  }
+  EXPECT_GT(drops, 1000);
+  EXPECT_GT(wrapped_drops, 0) << "no drop touched a cluster that wraps past the last slot";
 }
 
 }  // namespace

@@ -3,9 +3,18 @@
 // discrete-event queue, so every fixture pairs the scheduler with one.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <algorithm>
+#include <csignal>
+#include <cstdint>
+#include <cstdlib>
+#include <fstream>
 #include <functional>
+#include <iterator>
 #include <numeric>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "src/os/scheduler.h"
@@ -193,6 +202,86 @@ TEST_P(SchedulerScaling, ManyProcessesAllFinishDeterministically) {
 }
 
 INSTANTIATE_TEST_SUITE_P(ProcCounts, SchedulerScaling, ::testing::Values(1, 2, 4, 8, 16));
+
+// A fiber's stack is the mapping holding its locals, and the page directly
+// below that mapping is an inaccessible guard (a `---p` entry of
+// /proc/self/maps ending where the stack begins).
+TEST(SchedulerTest, FiberStackSitsDirectlyAboveAGuardPage) {
+  SimClock clock;
+  EventQueue events(kTieSeed);
+  Scheduler sched(&clock, &events, Millis(10.0));
+  std::uintptr_t local = 0;
+  std::string maps;
+  sched.Run({[&](int) {
+    const volatile char here = 0;
+    local = reinterpret_cast<std::uintptr_t>(&here);
+    std::ifstream in("/proc/self/maps");
+    maps.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }});
+  struct Mapping {
+    std::uintptr_t lo = 0;
+    std::uintptr_t hi = 0;
+    std::string perms;
+  };
+  std::vector<Mapping> mappings;
+  std::istringstream lines(maps);
+  for (std::string line; std::getline(lines, line);) {
+    Mapping m;
+    char dash = 0;
+    std::istringstream fields(line);
+    fields >> std::hex >> m.lo >> dash >> m.hi >> m.perms;
+    mappings.push_back(m);
+  }
+  const auto stack = std::find_if(mappings.begin(), mappings.end(), [&](const Mapping& m) {
+    return m.lo <= local && local < m.hi;
+  });
+  ASSERT_NE(stack, mappings.end());
+  EXPECT_EQ(stack->perms.substr(0, 3), "rw-");
+  EXPECT_LT(local - stack->lo, 512u * 1024) << "the guard lies within one stack size";
+  const bool guarded = std::any_of(mappings.begin(), mappings.end(), [&](const Mapping& m) {
+    return m.hi == stack->lo && m.perms.substr(0, 3) == "---";
+  });
+  EXPECT_TRUE(guarded) << "no inaccessible page directly below the fiber stack";
+}
+
+// Recurses until the stack runs `bytes` below `top`, touching each 1 KiB
+// frame every 64 bytes so the stack grows in steps far smaller than a page
+// and cannot step over a guard page. Passing each frame to its callee keeps
+// the frames live, so the recursion cannot become a loop.
+[[gnu::noinline]] int RecurseBelow(std::uintptr_t top, std::size_t bytes,
+                                   const volatile char* caller) {
+  volatile char frame[1024];
+  for (std::size_t i = 0; i < sizeof(frame); i += 64) {
+    frame[i] = 1;
+  }
+  if (top - reinterpret_cast<std::uintptr_t>(&frame[0]) >= bytes) {
+    return caller[0];
+  }
+  return RecurseBelow(top, bytes, frame) + caller[0];
+}
+
+// A fiber that recurses 64 KiB past its 512 KiB stack must fault on the
+// guard page below the stack, not run on into whatever memory lies there.
+// Sanitizer runtimes catch the fault themselves and report it before dying.
+TEST(SchedulerDeathTest, StackOverflowFaultsOnTheGuardPage) {
+  auto overflow = [] {
+    const rlimit no_core{0, 0};
+    (void)setrlimit(RLIMIT_CORE, &no_core);
+    SimClock clock;
+    EventQueue events(kTieSeed);
+    Scheduler sched(&clock, &events, Millis(10.0));
+    sched.Run({[](int) {
+      const volatile char top = 1;
+      (void)RecurseBelow(reinterpret_cast<std::uintptr_t>(&top), (512 + 64) * 1024, &top);
+    }});
+    std::exit(0);
+  };
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  EXPECT_DEATH(overflow(), "stack-overflow|SEGV");
+#else
+  EXPECT_EXIT(overflow(), ::testing::KilledBySignal(SIGSEGV), "");
+#endif
+}
 
 }  // namespace
 }  // namespace graysim

@@ -9,6 +9,8 @@
 // net messages), through double forks, and through snapshot-of-fork
 // round trips. Labeled `snapshot`: CI runs this suite under ASan+UBSan.
 #include <cstdint>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -247,6 +249,89 @@ TEST(SnapshotTest, ResumedFromDiskReplaysBitIdenticallyOnAllProfilesWithChaos) {
     EXPECT_EQ(FingerprintOf(*resumed), FingerprintOf(*original));
     EXPECT_NE(TraceDigest(resumed->os().trace()), 0u);
   }
+}
+
+// FNV-1a over a file's bytes (0 when unreadable).
+std::uint64_t FileDigest(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    return 0;
+  }
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (std::istreambuf_iterator<char> it(in), end; it != end; ++it) {
+    h ^= static_cast<std::uint8_t>(*it);
+    h *= 0x100000001B3ULL;
+  }
+  return h;
+}
+
+// Golden checkpoint bytes. A 64 MB, two-disk Linux 2.2 machine is populated
+// the way graysimd's load_steady populates one (a sort input, a grep set
+// and two aging files per client), then one process batch warms and dirties
+// pages and drops them through every per-file path: unlink, creat over an
+// existing file, rename over an existing file and a shrinking ftruncate. The
+// saved image pins what those drops leave behind: the page table's raw slot
+// layout, the frame free list's LIFO order, the dirty chain and the FFS
+// inode table. Captured at commit 33c1669; any change to the digest is a
+// change to machine state or to the checkpoint format.
+TEST(SnapshotTest, CheckpointBytesOfPerFileDropsMatchGolden) {
+  constexpr std::uint64_t kGoldenDigest = 0x49e635c5111b9d5fULL;
+  constexpr int kClients = 80;
+  MachineConfig config;
+  config.phys_mem_bytes = 64 * kMb;
+  config.kernel_reserved_bytes = 16 * kMb;
+  config.num_disks = 2;
+  Machine machine(PlatformProfile::Linux22(), config, /*machine_id=*/5, /*seed=*/0x60D1);
+  Os& os = machine.os();
+  const Pid setup_pid = os.default_pid();
+  ASSERT_TRUE(graywork::MakeFile(os, setup_pid, "/d0/sort_in", 256 * 1024));
+  ASSERT_EQ(graywork::MakeFileSet(os, setup_pid, "/d1/src", 4, 64 * 1024).size(), 4u);
+  for (int c = 0; c < kClients; ++c) {
+    ASSERT_EQ(
+        graywork::MakeFileSet(os, setup_pid, "/d0/age" + std::to_string(c), 2, 16 * 1024).size(),
+        2u);
+  }
+  os.FlushFileCache();
+
+  auto read_all = [&os](Pid pid, const std::string& path) {
+    const int fd = os.Open(pid, path);
+    if (fd >= 0) {
+      (void)os.Pread(pid, fd, {}, 1024 * 1024, 0);
+      (void)os.Close(pid, fd);
+    }
+  };
+  machine.RunProcesses({
+      [&](Pid pid) {
+        read_all(pid, "/d0/sort_in");
+        for (int i = 0; i < 4; ++i) {
+          read_all(pid, "/d1/src/f" + std::to_string(i));
+        }
+        const int dirty = os.Open(pid, "/d1/src/f1");
+        (void)os.Pwrite(pid, dirty, 32 * 1024, 8 * 1024);
+        (void)os.Close(pid, dirty);
+        (void)os.Unlink(pid, "/d1/src/f0");
+        const int recreated = os.Creat(pid, "/d1/src/f1");
+        (void)os.Write(pid, recreated, 12 * 1024);
+        (void)os.Close(pid, recreated);
+        (void)os.Rename(pid, "/d1/src/f2", "/d1/src/f3");
+        const int shrink = os.Open(pid, "/d0/sort_in");
+        (void)os.Pwrite(pid, shrink, 64 * 1024, 128 * 1024);
+        (void)os.Ftruncate(pid, shrink, 100 * 1024);
+        (void)os.Close(pid, shrink);
+      },
+      [&](Pid pid) {
+        for (int c = 0; c < kClients; c += 3) {
+          read_all(pid, "/d0/age" + std::to_string(c) + "/f0");
+          read_all(pid, "/d0/age" + std::to_string(c) + "/f1");
+          (void)os.Unlink(pid, "/d0/age" + std::to_string(c) + "/f1");
+        }
+      },
+  });
+
+  const std::string path = ::testing::TempDir() + "/golden_drops.gsim";
+  std::string error;
+  ASSERT_TRUE(SaveMachineImage(machine.Snapshot(), path, &error)) << error;
+  EXPECT_EQ(FileDigest(path), kGoldenDigest);
 }
 
 TEST(SnapshotTest, ForkPreservesIdentityAndSeedDerivation) {
