@@ -12,7 +12,9 @@
 // three depths (O(1)) while the heap degrades logarithmically. A final
 // section prices Machine::Snapshot/Fork — nanoseconds per fork and bytes
 // per image on a warmed machine — the costs the robustness-matrix
-// warm-once/fork-per-cell pattern depends on.
+// warm-once/fork-per-cell pattern depends on. The last prices checkpoint
+// encode and decode in memory, the CPU half of SaveMachineImage and
+// LoadMachineImage without the host file I/O.
 //
 // Loops are deterministic (fixed xorshift seed) and sized to run long
 // enough to dominate timer noise while keeping the whole binary under a
@@ -29,6 +31,7 @@
 #include "src/cache/page_cache.h"
 #include "src/mem/mem_system.h"
 #include "src/os/machine.h"
+#include "src/os/machine_image_io.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/ref_event_heap.h"
 #include "src/workloads/filegen.h"
@@ -263,6 +266,61 @@ void BenchSnapshotFork(gbench::JsonResults& json) {
   json.Add("machine_image_bytes", static_cast<double>(image.os.ApproxBytes()), "bytes");
 }
 
+// Prices EncodeMachineImage and DecodeMachineImage on a populated 64 MB,
+// two-disk machine (perfbench ckpt_restart's shape). Most of its image is
+// FFS cylinder-group bitmaps and inode-slot flags, and every byte is
+// checksummed on both sides, so these rates fall about 25x if bitmap
+// packing and the CRC go back to bit-at-a-time code, well past
+// perf-smoke's 5x gate. False when the decoded image does not re-encode to
+// the same bytes.
+bool BenchImageCodec(gbench::JsonResults& json) {
+  graysim::MachineConfig config;
+  config.phys_mem_bytes = 64 * gbench::kMb;
+  config.kernel_reserved_bytes = 16 * gbench::kMb;
+  config.num_disks = 2;
+  Machine machine(PlatformProfile::Linux22(), config, /*machine_id=*/0, /*seed=*/0x10AD);
+  graysim::Os& os = machine.os();
+  const graysim::Pid pid = os.default_pid();
+  (void)graywork::MakeFile(os, pid, "/d0/sort_in", 256 * 1024);
+  (void)graywork::MakeFileSet(os, pid, "/d1/src", 4, 64 * 1024);
+  (void)graywork::MakeFileSet(os, pid, "/d0/age", 4, 32 * 1024);
+  const MachineImage image = machine.Snapshot();
+
+  constexpr int kIters = 100;
+  std::vector<std::uint8_t> bytes;
+  const auto encode_start = std::chrono::steady_clock::now();
+  for (int i = 0; i < kIters; ++i) {
+    bytes = graysim::EncodeMachineImage(image);
+  }
+  const double encode_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - encode_start).count();
+
+  MachineImage decoded;
+  const auto decode_start = std::chrono::steady_clock::now();
+  for (int i = 0; i < kIters; ++i) {
+    std::string error;
+    if (!graysim::DecodeMachineImage(bytes, &decoded, &error)) {
+      std::fprintf(stderr, "FAIL: image decode: %s\n", error.c_str());
+      return false;
+    }
+  }
+  const double decode_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - decode_start).count();
+  if (graysim::EncodeMachineImage(decoded) != bytes) {
+    std::fprintf(stderr, "FAIL: a decoded image re-encodes to other bytes\n");
+    return false;
+  }
+
+  const double mb = static_cast<double>(bytes.size()) / 1e6;
+  std::printf("%-28s %10.0f ops/s %10.1f MB/s (%.3f MB/image)\n", "image_encode",
+              kIters / encode_s, kIters * mb / encode_s, mb);
+  std::printf("%-28s %10.0f ops/s %10.1f MB/s\n", "image_decode", kIters / decode_s,
+              kIters * mb / decode_s);
+  json.Add("image_encode_ops_per_s", kIters / encode_s, "ops/s");
+  json.Add("image_decode_ops_per_s", kIters / decode_s, "ops/s");
+  return true;
+}
+
 }  // namespace
 
 int main() {
@@ -302,6 +360,9 @@ int main() {
   }
 
   BenchSnapshotFork(json);
+  if (!BenchImageCodec(json)) {
+    return 1;
+  }
 
   json.Write();
   return 0;

@@ -108,6 +108,19 @@ class CheckPerfTest(unittest.TestCase):
         # ...just over it fails.
         self.assertEqual(self.run_gate("--overhead-slack=0.15"), 1)
 
+    def test_recovery_ceiling_fails_a_bitwise_loader(self):
+        # The committed baseline: Load+Fork of one scale_fleet --quick image
+        # with the word-wise decoder. The default slack must pass it with
+        # room for runner noise and fail the bit-at-a-time loader before it.
+        self.write(self.baseline, "fleet",
+                   bench_doc([("recovery", 0.002, "recovery_s")]))
+        self.write(self.fresh, "fleet",
+                   bench_doc([("recovery", 3 * 0.002, "recovery_s")]))
+        self.assertEqual(self.run_gate(), 0)
+        self.write(self.fresh, "fleet",
+                   bench_doc([("recovery", 0.021, "recovery_s")]))
+        self.assertEqual(self.run_gate(), 1)
+
     # ---- multiplicative latency ceiling / goodput floor ----
 
     def test_latency_regression_fails(self):

@@ -50,8 +50,8 @@ Ffs::Ffs(FsParams params, std::uint64_t disk_capacity_bytes) : params_(params) {
     cg.first_block = c * params_.blocks_per_cg;
     cg.data_start = cg.first_block + inode_table_blocks;
     cg.data_end = cg.first_block + params_.blocks_per_cg;
-    cg.block_used.assign(cg.data_end - cg.data_start, false);
-    cg.inode_used.assign(params_.inodes_per_cg, false);
+    cg.block_used.Reset(cg.data_end - cg.data_start);
+    cg.inode_used.Reset(params_.inodes_per_cg);
     cg.free_blocks = cg.data_end - cg.data_start;
     cg.free_inodes = params_.inodes_per_cg;
     free_data_blocks_ += cg.free_blocks;
@@ -154,8 +154,8 @@ Inum Ffs::AllocInode(std::uint32_t cg_hint, bool is_dir) {
     // Lowest free slot first: freed i-numbers are reused immediately, which
     // is what makes i-number order decay under aging (Fig 6).
     for (std::uint32_t slot = 0; slot < params_.inodes_per_cg; ++slot) {
-      if (!cg.inode_used[slot]) {
-        cg.inode_used[slot] = true;
+      if (!cg.inode_used.Test(slot)) {
+        cg.inode_used.Set(slot, true);
         --cg.free_inodes;
         const Inum inum = static_cast<Inum>(c * params_.inodes_per_cg + slot + 1);
         Inode& node = NewRecord(inum);
@@ -176,8 +176,8 @@ void Ffs::FreeInode(Inum inum) {
   const std::uint32_t c = (inum - 1) / params_.inodes_per_cg;
   const std::uint32_t slot = (inum - 1) % params_.inodes_per_cg;
   CylGroup& cg = groups_[c];
-  assert(cg.inode_used[slot]);
-  cg.inode_used[slot] = false;
+  assert(cg.inode_used.Test(slot));
+  cg.inode_used.Set(slot, false);
   ++cg.free_inodes;
   for (const std::uint64_t b : node->blocks) {
     FreeBlock(b);
@@ -211,15 +211,15 @@ bool Ffs::BlockIsFree(std::uint64_t block) const {
   if (block < cg.data_start || block >= cg.data_end) {
     return false;  // inode-table block
   }
-  return !cg.block_used[block - cg.data_start];
+  return !cg.block_used.Test(block - cg.data_start);
 }
 
 void Ffs::MarkBlock(std::uint64_t block, bool used) {
   CylGroup& cg = groups_[CgOfBlock(block)];
   assert(block >= cg.data_start && block < cg.data_end);
   const std::uint64_t idx = block - cg.data_start;
-  assert(cg.block_used[idx] != used);
-  cg.block_used[idx] = used;
+  assert(cg.block_used.Test(idx) != used);
+  cg.block_used.Set(idx, used);
   if (used) {
     --cg.free_blocks;
     --free_data_blocks_;
@@ -282,7 +282,7 @@ std::uint64_t Ffs::AllocBlock(Inode& inode, std::uint64_t prev) {
     const std::uint64_t scan_origin = prev == 0 ? cg.rotor : 0;
     for (std::uint64_t k = 0; k < span; ++k) {
       const std::uint64_t rel = (scan_origin + k) % span;
-      if (!cg.block_used[rel]) {
+      if (!cg.block_used.Test(rel)) {
         const std::uint64_t block = cg.data_start + rel;
         MarkBlock(block, true);
         if (prev == 0) {
@@ -620,40 +620,37 @@ std::uint64_t Ffs::creation_seq_of(Inum inum) const {
   return node == nullptr ? 0 : node->creation_seq;
 }
 
-namespace {
-
-void PutBits(ByteWriter& w, const std::vector<bool>& bits) {
-  w.U64(bits.size());
-  std::uint8_t acc = 0;
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    acc |= static_cast<std::uint8_t>(bits[i] ? 1 : 0) << (i % 8);
-    if (i % 8 == 7) {
-      w.U8(acc);
-      acc = 0;
-    }
-  }
-  if (bits.size() % 8 != 0) {
-    w.U8(acc);
+void Bitmap::SerializeTo(ByteWriter& w) const {
+  w.U64(size_);
+  const std::size_t full = size_ / 64;
+  w.U64s(words_.data(), full);
+  // Of a partial last word, only the bytes that hold bits below size().
+  for (std::size_t b = 0; b < (size_ % 64 + 7) / 8; ++b) {
+    w.U8(static_cast<std::uint8_t>(words_[full] >> (8 * b)));
   }
 }
 
-bool GetBits(ByteReader& r, std::vector<bool>* bits) {
+bool Bitmap::DeserializeFrom(ByteReader& r) {
   const std::uint64_t n = r.Count(0);
-  if ((n + 7) / 8 > r.remaining()) {
+  // The byte count, rounded up without computing n + 7, which wraps for a
+  // crafted n near 2^64.
+  if (!r.ok() || n / 8 + (n % 8 != 0 ? 1 : 0) > r.remaining()) {
     return false;
   }
-  bits->assign(n, false);
-  std::uint8_t acc = 0;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    if (i % 8 == 0) {
-      acc = r.U8();
+  Reset(static_cast<std::size_t>(n));
+  const std::size_t full = size_ / 64;
+  if (!r.U64s(words_.data(), full)) {
+    return false;
+  }
+  const std::size_t tail = size_ % 64;
+  if (tail != 0) {
+    for (std::size_t b = 0; b < (tail + 7) / 8; ++b) {
+      words_[full] |= static_cast<std::uint64_t>(r.U8()) << (8 * b);
     }
-    (*bits)[i] = ((acc >> (i % 8)) & 1) != 0;
+    words_[full] &= (std::uint64_t{1} << tail) - 1;  // padding bits read as clear
   }
   return r.ok();
 }
-
-}  // namespace
 
 void Ffs::SerializeTo(ByteWriter& w) const {
   w.U32(params_.block_size);
@@ -669,8 +666,8 @@ void Ffs::SerializeTo(ByteWriter& w) const {
     w.U64(g.first_block);
     w.U64(g.data_start);
     w.U64(g.data_end);
-    PutBits(w, g.block_used);
-    PutBits(w, g.inode_used);
+    g.block_used.SerializeTo(w);
+    g.inode_used.SerializeTo(w);
     w.U64(g.free_blocks);
     w.U32(g.free_inodes);
     w.U64(g.rotor);
@@ -686,9 +683,7 @@ void Ffs::SerializeTo(ByteWriter& w) const {
   w.U64(inode_slots_);
   std::uint64_t next_slot = 0;
   for (const Inum inum : live) {
-    for (; next_slot < inum; ++next_slot) {
-      w.Bool(false);
-    }
+    w.Fill(0, inum - next_slot);  // the free slots before this one
     next_slot = static_cast<std::uint64_t>(inum) + 1;
     const Inode& ino = records_[*record_of_.Find(inum)];
     w.Bool(true);
@@ -712,9 +707,7 @@ void Ffs::SerializeTo(ByteWriter& w) const {
       w.U32(it == ino.children.end() ? kInvalidInum : it->second);
     }
   }
-  for (; next_slot < inode_slots_; ++next_slot) {
-    w.Bool(false);
-  }
+  w.Fill(0, inode_slots_ - next_slot);
 
   w.U32(root_);
   w.U64(free_data_blocks_);
@@ -739,7 +732,7 @@ bool Ffs::DeserializeFrom(ByteReader& r) {
     g.first_block = r.U64();
     g.data_start = r.U64();
     g.data_end = r.U64();
-    if (!GetBits(r, &g.block_used) || !GetBits(r, &g.inode_used)) {
+    if (!g.block_used.DeserializeFrom(r) || !g.inode_used.DeserializeFrom(r)) {
       return false;
     }
     g.free_blocks = r.U64();
@@ -754,9 +747,10 @@ bool Ffs::DeserializeFrom(ByteReader& r) {
   if (inode_slots_ > std::uint64_t{1} << 32) {
     return false;  // inums are 32-bit
   }
-  for (std::uint64_t slot = 0; slot < inode_slots_; ++slot) {
-    if (!r.Bool()) {
-      continue;
+  for (std::uint64_t slot = 0;; ++slot) {
+    slot += r.SkipZeros(inode_slots_ - slot);  // a run of free slots
+    if (slot == inode_slots_ || !r.Bool()) {
+      break;  // every slot read, or the input ran out (r.ok() is now false)
     }
     Inode& ino = NewRecord(static_cast<Inum>(slot));
     ino.is_dir = r.Bool();

@@ -89,6 +89,39 @@ struct DirEntryInfo {
   bool is_dir = false;
 };
 
+// A fixed-size bit set held in 64-bit words: a cylinder group's block and
+// inode maps. Bit i is bit i % 64 of word i / 64, and bits at or past size()
+// stay clear. The checkpoint encoding is the bit count, then the bits packed
+// LSB-first into (size + 7) / 8 bytes, which is the little-endian bytes of
+// the words, so it is written and read a word at a time.
+class Bitmap {
+ public:
+  // `n` bits, all clear.
+  void Reset(std::size_t n) {
+    size_ = n;
+    words_.assign((n + 63) / 64, 0);
+  }
+
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] bool Test(std::size_t i) const { return ((words_[i / 64] >> (i % 64)) & 1) != 0; }
+  void Set(std::size_t i, bool value) {
+    const std::uint64_t mask = std::uint64_t{1} << (i % 64);
+    words_[i / 64] = value ? words_[i / 64] | mask : words_[i / 64] & ~mask;
+  }
+
+  [[nodiscard]] std::uint64_t capacity_bytes() const {
+    return words_.capacity() * sizeof(std::uint64_t);
+  }
+
+  void SerializeTo(ByteWriter& w) const;
+  // False on a count the remaining input cannot hold, or on short input.
+  [[nodiscard]] bool DeserializeFrom(ByteReader& r);
+
+ private:
+  std::size_t size_ = 0;
+  std::vector<std::uint64_t> words_;
+};
+
 // File system metadata manager for one disk.
 class Ffs {
  public:
@@ -161,7 +194,7 @@ class Ffs {
                ino.child_order.capacity() * sizeof(std::string);
     }
     for (const CylGroup& g : groups_) {
-      bytes += sizeof(CylGroup) + g.block_used.capacity() / 8 + g.inode_used.capacity() / 8;
+      bytes += sizeof(CylGroup) + g.block_used.capacity_bytes() + g.inode_used.capacity_bytes();
     }
     return bytes;
   }
@@ -185,8 +218,8 @@ class Ffs {
     std::uint64_t first_block = 0;      // first block of the group
     std::uint64_t data_start = 0;       // first data block (after inode table)
     std::uint64_t data_end = 0;         // one past last data block
-    std::vector<bool> block_used;       // indexed by block - data_start
-    std::vector<bool> inode_used;       // indexed by inode slot
+    Bitmap block_used;                  // indexed by block - data_start
+    Bitmap inode_used;                  // indexed by inode slot
     std::uint64_t free_blocks = 0;
     std::uint32_t free_inodes = 0;
     std::uint64_t rotor = 0;            // next-fit start for kSparse (relative)

@@ -765,12 +765,20 @@ void PutChaos(ByteWriter& w, const Os::Image& os) {
 
 // ---- file assembly ---------------------------------------------------------
 
-void AppendSection(ByteWriter& file, Section tag, ByteWriter&& payload) {
-  const std::vector<std::uint8_t> body = payload.Take();
+// Frames one section in place at the end of `file`: the tag, then a length
+// and a CRC that are patched once `put_payload` has written the bytes behind
+// them.
+template <typename PutPayload>
+void AppendSection(ByteWriter& file, Section tag, PutPayload put_payload) {
   file.U32(static_cast<std::uint32_t>(tag));
-  file.U64(body.size());
-  file.U32(Crc32(body.data(), body.size()));
-  file.Bytes(body.data(), body.size());
+  const std::size_t frame = file.size();
+  file.U64(0);  // payload length
+  file.U32(0);  // payload CRC32
+  const std::size_t start = file.size();
+  put_payload(file);
+  const std::size_t len = file.size() - start;
+  file.PatchU64(frame, len);
+  file.PatchU32(frame + 8, Crc32(file.data().data() + start, len));
 }
 
 // Durable write: tmp file + fsync + rename + directory fsync — the host-side
@@ -827,39 +835,25 @@ void AppendSection(ByteWriter& file, Section tag, ByteWriter&& payload) {
 
 }  // namespace
 
-bool SaveMachineImage(const MachineImage& image, const std::string& path, std::string* error) {
+std::vector<std::uint8_t> EncodeMachineImage(const MachineImage& image) {
+  const Os::Image& os = image.os;
   ByteWriter file;
   file.Bytes(kMagic, sizeof kMagic);
   file.U32(kMachineImageFormatVersion);
   file.U32(static_cast<std::uint32_t>(std::size(kSectionOrder)));
 
-  {
-    ByteWriter w;
-    PutIdentity(w, image);
-    AppendSection(file, Section::kIdentity, std::move(w));
-  }
-  {
-    ByteWriter w;
-    PutConfig(w, image);
-    AppendSection(file, Section::kConfig, std::move(w));
-  }
-  {
-    ByteWriter w;
-    PutKernel(w, image.os);
-    AppendSection(file, Section::kKernel, std::move(w));
-  }
-  {
-    ByteWriter w;
-    w.U64(image.os.filesystems.size());
-    for (const Ffs& fs : image.os.filesystems) {
+  AppendSection(file, Section::kIdentity, [&image](ByteWriter& w) { PutIdentity(w, image); });
+  AppendSection(file, Section::kConfig, [&image](ByteWriter& w) { PutConfig(w, image); });
+  AppendSection(file, Section::kKernel, [&os](ByteWriter& w) { PutKernel(w, os); });
+  AppendSection(file, Section::kFilesystems, [&os](ByteWriter& w) {
+    w.U64(os.filesystems.size());
+    for (const Ffs& fs : os.filesystems) {
       fs.SerializeTo(w);
     }
-    AppendSection(file, Section::kFilesystems, std::move(w));
-  }
-  {
-    ByteWriter w;
-    w.U64(image.os.disks.size());
-    for (const Disk& d : image.os.disks) {
+  });
+  AppendSection(file, Section::kDisks, [&os](ByteWriter& w) {
+    w.U64(os.disks.size());
+    for (const Disk& d : os.disks) {
       w.U64(d.head_pos());
       w.Bool(d.head_valid());
       const DiskStats& s = d.stats();
@@ -870,34 +864,198 @@ bool SaveMachineImage(const MachineImage& image, const std::string& path, std::s
       w.U64(s.bytes_written);
       w.I64(s.busy_time);
     }
-    w.U64(image.os.disk_devices.size());
-    for (const SimDevice::State& s : image.os.disk_devices) {
+    w.U64(os.disk_devices.size());
+    for (const SimDevice::State& s : os.disk_devices) {
       PutDeviceState(w, s);
     }
-    AppendSection(file, Section::kDisks, std::move(w));
+  });
+  AppendSection(file, Section::kNet, [&os](ByteWriter& w) { PutNet(w, os.net); });
+  AppendSection(file, Section::kMem, [&os](ByteWriter& w) { PutMem(w, os); });
+  AppendSection(file, Section::kTables, [&os](ByteWriter& w) { PutTables(w, os); });
+  AppendSection(file, Section::kChaos, [&os](ByteWriter& w) { PutChaos(w, os); });
+  return file.Take();
+}
+
+bool SaveMachineImage(const MachineImage& image, const std::string& path, std::string* error) {
+  return WriteFileDurably(path, EncodeMachineImage(image), error);
+}
+
+bool DecodeMachineImage(std::span<const std::uint8_t> bytes, MachineImage* out,
+                        std::string* error) {
+  ByteReader header(bytes.data(), bytes.size());
+  std::uint8_t magic[sizeof kMagic];
+  if (!header.Bytes(magic, sizeof magic) || std::memcmp(magic, kMagic, sizeof kMagic) != 0) {
+    Fail(error, "not a graysim machine image (bad magic)");
+    return false;
   }
-  {
-    ByteWriter w;
-    PutNet(w, image.os.net);
-    AppendSection(file, Section::kNet, std::move(w));
+  const std::uint32_t version = header.U32();
+  if (!header.ok() || version != kMachineImageFormatVersion) {
+    Fail(error, "unsupported format version " + std::to_string(version));
+    return false;
   }
-  {
-    ByteWriter w;
-    PutMem(w, image.os);
-    AppendSection(file, Section::kMem, std::move(w));
-  }
-  {
-    ByteWriter w;
-    PutTables(w, image.os);
-    AppendSection(file, Section::kTables, std::move(w));
-  }
-  {
-    ByteWriter w;
-    PutChaos(w, image.os);
-    AppendSection(file, Section::kChaos, std::move(w));
+  const std::uint32_t section_count = header.U32();
+  if (!header.ok() || section_count != std::size(kSectionOrder)) {
+    Fail(error, "unexpected section count");
+    return false;
   }
 
-  return WriteFileDurably(path, file.data(), error);
+  // Verify framing and CRCs for EVERY section before parsing any: a file
+  // with a corrupt later section must be rejected without side effects.
+  struct RawSection {
+    const std::uint8_t* data = nullptr;
+    std::size_t size = 0;
+  };
+  RawSection sections[std::size(kSectionOrder)];
+  for (std::size_t i = 0; i < std::size(kSectionOrder); ++i) {
+    const std::uint32_t tag = header.U32();
+    const std::uint64_t len = header.U64();
+    const std::uint32_t crc = header.U32();
+    if (!header.ok() || tag != static_cast<std::uint32_t>(kSectionOrder[i]) ||
+        len > header.remaining()) {
+      Fail(error, "truncated or malformed section table");
+      return false;
+    }
+    const std::uint8_t* payload = header.Take(static_cast<std::size_t>(len));
+    if (Crc32(payload, static_cast<std::size_t>(len)) != crc) {
+      Fail(error, "section " + std::to_string(tag) + " checksum mismatch");
+      return false;
+    }
+    sections[i] = RawSection{payload, static_cast<std::size_t>(len)};
+  }
+  if (header.remaining() != 0) {
+    Fail(error, "trailing bytes after last section");
+    return false;
+  }
+
+  auto reader = [&sections](Section s) {
+    const RawSection& raw = sections[static_cast<std::size_t>(s) - 1];
+    return ByteReader(raw.data, raw.size);
+  };
+
+  MachineImage image;
+  {
+    ByteReader r = reader(Section::kIdentity);
+    image.id = r.U32();
+    image.root_seed = r.U64();
+    if (!r.Done()) {
+      Fail(error, "malformed identity section");
+      return false;
+    }
+  }
+  {
+    ByteReader r = reader(Section::kConfig);
+    if (!GetConfig(r, &image.os.profile, &image.os.config) || !r.Done()) {
+      Fail(error, "malformed config section");
+      return false;
+    }
+  }
+  const PlatformProfile& profile = image.os.profile;
+  const MachineConfig& config = image.os.config;
+  {
+    ByteReader r = reader(Section::kKernel);
+    if (!GetKernel(r, &image.os) || !r.Done()) {
+      Fail(error, "malformed kernel section");
+      return false;
+    }
+  }
+  {
+    ByteReader r = reader(Section::kFilesystems);
+    const std::uint64_t n = r.Count(32);
+    if (!r.ok() || n != static_cast<std::uint64_t>(config.num_disks)) {
+      Fail(error, "filesystem count mismatch");
+      return false;
+    }
+    // Construct with the config's fs params (as the Os constructor does);
+    // DeserializeFrom overwrites every field including the params.
+    FsParams fs_params = config.fs_params;
+    fs_params.block_size = config.page_size;
+    fs_params.allocator = profile.fs_allocator;
+    image.os.filesystems.reserve(n);
+    for (std::uint64_t d = 0; d < n; ++d) {
+      image.os.filesystems.emplace_back(fs_params, config.disk_geometry.capacity_bytes);
+      if (!image.os.filesystems.back().DeserializeFrom(r)) {
+        Fail(error, "malformed filesystem " + std::to_string(d));
+        return false;
+      }
+    }
+    if (!r.Done()) {
+      Fail(error, "malformed filesystem section");
+      return false;
+    }
+  }
+  {
+    ByteReader r = reader(Section::kDisks);
+    const std::uint64_t n = r.Count(57);
+    if (!r.ok() || n != static_cast<std::uint64_t>(config.num_disks)) {
+      Fail(error, "disk count mismatch");
+      return false;
+    }
+    image.os.disks.reserve(n);
+    for (std::uint64_t d = 0; d < n; ++d) {
+      image.os.disks.emplace_back(config.disk_geometry, static_cast<int>(d));
+      const std::uint64_t head_pos = r.U64();
+      const bool head_valid = r.Bool();
+      DiskStats s;
+      s.requests = r.U64();
+      s.sequential_requests = r.U64();
+      s.seeks = r.U64();
+      s.bytes_read = r.U64();
+      s.bytes_written = r.U64();
+      s.busy_time = r.I64();
+      image.os.disks.back().RestoreState(head_pos, head_valid, s);
+    }
+    const std::uint64_t nd = r.Count(8);
+    if (!r.ok() || nd != n) {
+      Fail(error, "disk device count mismatch");
+      return false;
+    }
+    image.os.disk_devices.reserve(nd);
+    for (std::uint64_t d = 0; d < nd; ++d) {
+      image.os.disk_devices.push_back(GetDeviceState(r));
+    }
+    if (!r.Done()) {
+      Fail(error, "malformed disk section");
+      return false;
+    }
+  }
+  {
+    ByteReader r = reader(Section::kNet);
+    if (!GetNet(r, &image.os.net) || !r.Done()) {
+      Fail(error, "malformed net section");
+      return false;
+    }
+  }
+  {
+    // Build the memory hierarchy exactly as the Os constructor sizes it,
+    // then overwrite with the captured state (mirrors Os::CaptureImage).
+    image.os.mem = std::make_unique<MemSystem>(MemSystem::Config{
+        (config.phys_mem_bytes - config.kernel_reserved_bytes) / config.page_size,
+        profile.mem_policy, profile.file_cache_bytes / config.page_size});
+    image.os.cache = std::make_unique<PageCache>(image.os.mem.get());
+    image.os.vm = std::make_unique<Vm>(image.os.mem.get());
+    ByteReader r = reader(Section::kMem);
+    if (!GetMem(r, &image.os) || !r.Done()) {
+      Fail(error, "malformed memory section");
+      return false;
+    }
+  }
+  {
+    ByteReader r = reader(Section::kTables);
+    if (!GetTables(r, &image.os) || !r.Done()) {
+      Fail(error, "malformed tables section");
+      return false;
+    }
+  }
+  {
+    ByteReader r = reader(Section::kChaos);
+    if (!GetChaos(r, &image.os) || !r.Done()) {
+      Fail(error, "malformed chaos section");
+      return false;
+    }
+  }
+
+  *out = std::move(image);
+  return true;
 }
 
 bool LoadMachineImage(const std::string& path, MachineImage* out, std::string* error) {
@@ -917,184 +1075,11 @@ bool LoadMachineImage(const std::string& path, MachineImage* out, std::string* e
     }
   }
 
-  ByteReader header(bytes.data(), bytes.size());
-  std::uint8_t magic[sizeof kMagic];
-  if (!header.Bytes(magic, sizeof magic) || std::memcmp(magic, kMagic, sizeof kMagic) != 0) {
-    Fail(error, path + ": not a graysim machine image (bad magic)");
+  std::string why;
+  if (!DecodeMachineImage(bytes, out, &why)) {
+    Fail(error, path + ": " + why);
     return false;
   }
-  const std::uint32_t version = header.U32();
-  if (!header.ok() || version != kMachineImageFormatVersion) {
-    Fail(error, path + ": unsupported format version " + std::to_string(version));
-    return false;
-  }
-  const std::uint32_t section_count = header.U32();
-  if (!header.ok() || section_count != std::size(kSectionOrder)) {
-    Fail(error, path + ": unexpected section count");
-    return false;
-  }
-
-  // Verify framing and CRCs for EVERY section before parsing any: a file
-  // with a corrupt later section must be rejected without side effects.
-  struct RawSection {
-    const std::uint8_t* data = nullptr;
-    std::size_t size = 0;
-  };
-  RawSection sections[std::size(kSectionOrder)];
-  for (std::size_t i = 0; i < std::size(kSectionOrder); ++i) {
-    const std::uint32_t tag = header.U32();
-    const std::uint64_t len = header.U64();
-    const std::uint32_t crc = header.U32();
-    if (!header.ok() || tag != static_cast<std::uint32_t>(kSectionOrder[i]) ||
-        len > header.remaining()) {
-      Fail(error, path + ": truncated or malformed section table");
-      return false;
-    }
-    const std::uint8_t* payload = bytes.data() + (bytes.size() - header.remaining());
-    if (Crc32(payload, static_cast<std::size_t>(len)) != crc) {
-      Fail(error, path + ": section " + std::to_string(tag) + " checksum mismatch");
-      return false;
-    }
-    sections[i] = RawSection{payload, static_cast<std::size_t>(len)};
-    std::uint8_t sink = 0;
-    for (std::uint64_t skipped = 0; skipped < len; ++skipped) {
-      sink = header.U8();
-    }
-    (void)sink;
-  }
-  if (header.remaining() != 0) {
-    Fail(error, path + ": trailing bytes after last section");
-    return false;
-  }
-
-  auto reader = [&sections](Section s) {
-    const RawSection& raw = sections[static_cast<std::size_t>(s) - 1];
-    return ByteReader(raw.data, raw.size);
-  };
-
-  MachineImage image;
-  {
-    ByteReader r = reader(Section::kIdentity);
-    image.id = r.U32();
-    image.root_seed = r.U64();
-    if (!r.Done()) {
-      Fail(error, path + ": malformed identity section");
-      return false;
-    }
-  }
-  {
-    ByteReader r = reader(Section::kConfig);
-    if (!GetConfig(r, &image.os.profile, &image.os.config) || !r.Done()) {
-      Fail(error, path + ": malformed config section");
-      return false;
-    }
-  }
-  const PlatformProfile& profile = image.os.profile;
-  const MachineConfig& config = image.os.config;
-  {
-    ByteReader r = reader(Section::kKernel);
-    if (!GetKernel(r, &image.os) || !r.Done()) {
-      Fail(error, path + ": malformed kernel section");
-      return false;
-    }
-  }
-  {
-    ByteReader r = reader(Section::kFilesystems);
-    const std::uint64_t n = r.Count(32);
-    if (!r.ok() || n != static_cast<std::uint64_t>(config.num_disks)) {
-      Fail(error, path + ": filesystem count mismatch");
-      return false;
-    }
-    // Construct with the config's fs params (as the Os constructor does);
-    // DeserializeFrom overwrites every field including the params.
-    FsParams fs_params = config.fs_params;
-    fs_params.block_size = config.page_size;
-    fs_params.allocator = profile.fs_allocator;
-    image.os.filesystems.reserve(n);
-    for (std::uint64_t d = 0; d < n; ++d) {
-      image.os.filesystems.emplace_back(fs_params, config.disk_geometry.capacity_bytes);
-      if (!image.os.filesystems.back().DeserializeFrom(r)) {
-        Fail(error, path + ": malformed filesystem " + std::to_string(d));
-        return false;
-      }
-    }
-    if (!r.Done()) {
-      Fail(error, path + ": malformed filesystem section");
-      return false;
-    }
-  }
-  {
-    ByteReader r = reader(Section::kDisks);
-    const std::uint64_t n = r.Count(57);
-    if (!r.ok() || n != static_cast<std::uint64_t>(config.num_disks)) {
-      Fail(error, path + ": disk count mismatch");
-      return false;
-    }
-    image.os.disks.reserve(n);
-    for (std::uint64_t d = 0; d < n; ++d) {
-      image.os.disks.emplace_back(config.disk_geometry, static_cast<int>(d));
-      const std::uint64_t head_pos = r.U64();
-      const bool head_valid = r.Bool();
-      DiskStats s;
-      s.requests = r.U64();
-      s.sequential_requests = r.U64();
-      s.seeks = r.U64();
-      s.bytes_read = r.U64();
-      s.bytes_written = r.U64();
-      s.busy_time = r.I64();
-      image.os.disks.back().RestoreState(head_pos, head_valid, s);
-    }
-    const std::uint64_t nd = r.Count(8);
-    if (!r.ok() || nd != n) {
-      Fail(error, path + ": disk device count mismatch");
-      return false;
-    }
-    image.os.disk_devices.reserve(nd);
-    for (std::uint64_t d = 0; d < nd; ++d) {
-      image.os.disk_devices.push_back(GetDeviceState(r));
-    }
-    if (!r.Done()) {
-      Fail(error, path + ": malformed disk section");
-      return false;
-    }
-  }
-  {
-    ByteReader r = reader(Section::kNet);
-    if (!GetNet(r, &image.os.net) || !r.Done()) {
-      Fail(error, path + ": malformed net section");
-      return false;
-    }
-  }
-  {
-    // Build the memory hierarchy exactly as the Os constructor sizes it,
-    // then overwrite with the captured state (mirrors Os::CaptureImage).
-    image.os.mem = std::make_unique<MemSystem>(MemSystem::Config{
-        (config.phys_mem_bytes - config.kernel_reserved_bytes) / config.page_size,
-        profile.mem_policy, profile.file_cache_bytes / config.page_size});
-    image.os.cache = std::make_unique<PageCache>(image.os.mem.get());
-    image.os.vm = std::make_unique<Vm>(image.os.mem.get());
-    ByteReader r = reader(Section::kMem);
-    if (!GetMem(r, &image.os) || !r.Done()) {
-      Fail(error, path + ": malformed memory section");
-      return false;
-    }
-  }
-  {
-    ByteReader r = reader(Section::kTables);
-    if (!GetTables(r, &image.os) || !r.Done()) {
-      Fail(error, path + ": malformed tables section");
-      return false;
-    }
-  }
-  {
-    ByteReader r = reader(Section::kChaos);
-    if (!GetChaos(r, &image.os) || !r.Done()) {
-      Fail(error, path + ": malformed chaos section");
-      return false;
-    }
-  }
-
-  *out = std::move(image);
   return true;
 }
 

@@ -19,10 +19,18 @@
 // that is truncated, carries the wrong magic or version, fails a section
 // CRC, or parses inconsistently. Corruption can cost the checkpoint, never
 // the process.
+//
+// Each is a thin wrapper over an in-memory half that holds all of the
+// format: EncodeMachineImage produces the file's exact bytes and
+// DecodeMachineImage validates and parses them, so the host file I/O is
+// the only thing the wrappers add (and the encoders can be timed alone).
 #ifndef SRC_OS_MACHINE_IMAGE_IO_H_
 #define SRC_OS_MACHINE_IMAGE_IO_H_
 
+#include <cstdint>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "src/os/machine.h"
 
@@ -37,6 +45,15 @@ inline constexpr std::uint32_t kMachineImageFormatVersion = 1;
 // then still holds its previous contents, if any.
 [[nodiscard]] bool SaveMachineImage(const MachineImage& image, const std::string& path,
                                     std::string* error = nullptr);
+
+// The bytes SaveMachineImage writes for `image`.
+[[nodiscard]] std::vector<std::uint8_t> EncodeMachineImage(const MachineImage& image);
+
+// Parses bytes produced by EncodeMachineImage, with the same checks and the
+// same all-or-nothing contract as LoadMachineImage; *error (if non-null)
+// gets the rejection reason without a file name.
+[[nodiscard]] bool DecodeMachineImage(std::span<const std::uint8_t> bytes, MachineImage* out,
+                                      std::string* error = nullptr);
 
 // Reads a checkpoint written by SaveMachineImage. On success *out holds a
 // complete image (fork it with Machine::Fork). On any validation failure —

@@ -8,7 +8,8 @@
 // NetRecv on a crashed endpoint fails ECONNRESET-style instead of hanging;
 // and checkpoints written by machine_image_io survive a disk round trip
 // bit-identically while every corrupted variant (truncated, bit-flipped,
-// wrong version, wrong magic) is rejected with no partial restore.
+// wrong version, wrong magic, a crafted FFS bit count under a valid CRC) is
+// rejected with no partial restore.
 // Labeled `crash`: CI runs this suite under ASan+UBSan.
 #include <cstdint>
 #include <fstream>
@@ -21,6 +22,7 @@
 #include "src/fs/ffs.h"
 #include "src/os/machine.h"
 #include "src/os/machine_image_io.h"
+#include "src/sim/byte_io.h"
 #include "src/workloads/filegen.h"
 
 namespace graysim {
@@ -243,6 +245,40 @@ void WriteAll(const std::string& path, const std::vector<char>& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
+std::uint64_t GetLe(const std::vector<char>& bytes, std::size_t at, int width) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < width; ++i) {
+    v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(bytes[at + i])) << (8 * i);
+  }
+  return v;
+}
+
+void PutLe(std::vector<char>* bytes, std::size_t at, int width, std::uint64_t v) {
+  for (int i = 0; i < width; ++i) {
+    (*bytes)[at + i] = static_cast<char>(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+}
+
+// A checkpoint file is a 16-byte header (magic, version, section count),
+// then per section a u32 tag, a u64 payload length, a u32 CRC32 of the
+// payload, and the payload. Returns where section `tag`'s frame starts.
+std::size_t SectionFrame(const std::vector<char>& file, std::uint32_t tag) {
+  std::size_t at = 16;
+  while (GetLe(file, at, 4) != tag) {
+    at += 16 + GetLe(file, at + 4, 8);
+  }
+  return at;
+}
+
+// Re-checksums section `tag` after a test edited its payload, so the edit
+// reaches the section's parser instead of failing the CRC check.
+void ReCrcSection(std::vector<char>* file, std::uint32_t tag) {
+  const std::size_t frame = SectionFrame(*file, tag);
+  const std::size_t len = GetLe(*file, frame + 4, 8);
+  const auto* payload = reinterpret_cast<const std::uint8_t*>(file->data() + frame + 16);
+  PutLe(file, frame + 12, 4, Crc32(payload, len));
+}
+
 // A machine whose image exercises every section: warm cache, dirty pages,
 // pending net deliveries, armed chaos with a pending kCrash event.
 std::unique_ptr<Machine> CheckpointableMachine() {
@@ -319,6 +355,7 @@ TEST(CrashTest, CorruptCheckpointsAreRejectedWithoutPartialRestore) {
   struct Case {
     const char* name;
     std::vector<char> bytes;
+    const char* reason = "";  // expected in the error message
   };
   std::vector<Case> cases;
   {
@@ -341,6 +378,19 @@ TEST(CrashTest, CorruptCheckpointsAreRejectedWithoutPartialRestore) {
     magic.bytes[0] = static_cast<char>(magic.bytes[0] ^ 0xFF);
     cases.push_back(std::move(magic));
   }
+  {
+    // Group 0's block-map bit count set to 2^64 - 1 under a valid CRC. The
+    // filesystems section (tag 4) holds the filesystem count (8 bytes), then
+    // disk 0's params (33), group count (8) and group 0's first_block,
+    // data_start and data_end (24); the bit count follows. Rounding it up to
+    // whole bytes or words wraps to zero, which let it past the size check.
+    constexpr std::uint32_t kFilesystems = 4;
+    Case count{"FFS bit count near 2^64", good, "malformed filesystem 0"};
+    PutLe(&count.bytes, SectionFrame(good, kFilesystems) + 16 + 8 + 33 + 8 + 24, 8,
+          ~std::uint64_t{0});
+    ReCrcSection(&count.bytes, kFilesystems);
+    cases.push_back(std::move(count));
+  }
 
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
@@ -351,6 +401,7 @@ TEST(CrashTest, CorruptCheckpointsAreRejectedWithoutPartialRestore) {
     std::string why;
     EXPECT_FALSE(LoadMachineImage(bad_path, &out, &why));
     EXPECT_FALSE(why.empty());
+    EXPECT_NE(why.find(c.reason), std::string::npos) << why;
     EXPECT_EQ(out.id, 777u);
     EXPECT_EQ(out.os.mem, nullptr);
   }

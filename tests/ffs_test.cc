@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
+
+#include "src/sim/rng.h"
 
 namespace graysim {
 namespace {
@@ -312,6 +315,87 @@ TEST(FfsTest, LargeFileSpansGroupsMostlyContiguously) {
   ASSERT_EQ(fs.Create("/big", &inum), FsErr::kOk);
   ASSERT_EQ(fs.Resize(inum, 128ULL << 20, 0), FsErr::kOk);  // 128 MB
   EXPECT_GT(fs.ContiguityOf(inum), 0.99);
+}
+
+// The cylinder-group bitmap encoding as it was first written, one bit at a
+// time: the count, then the bits packed LSB-first, the last byte padded
+// with clear bits. Bitmap must produce exactly these bytes.
+std::vector<std::uint8_t> BytewisePack(const std::vector<bool>& bits) {
+  ByteWriter w;
+  w.U64(bits.size());
+  std::uint8_t acc = 0;
+  for (std::size_t i = 0; i < bits.size(); ++i) {
+    acc |= static_cast<std::uint8_t>(bits[i] ? 1 : 0) << (i % 8);
+    if (i % 8 == 7) {
+      w.U8(acc);
+      acc = 0;
+    }
+  }
+  if (bits.size() % 8 != 0) {
+    w.U8(acc);
+  }
+  return w.Take();
+}
+
+TEST(FfsTest, BitmapBytesMatchBytewisePacking) {
+  Rng rng(0xB17B17);
+  for (const std::size_t n : {0, 1, 7, 8, 9, 63, 64, 65, 8184}) {
+    for (int pattern = 0; pattern < 4; ++pattern) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " pattern=" + std::to_string(pattern));
+      // Pattern 0 is all clear, 1 all set, 2 and 3 random at two densities.
+      std::vector<bool> ref(n);
+      Bitmap bits;
+      bits.Reset(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        ref[i] = pattern == 1 || (pattern >= 2 && rng.Below(pattern == 2 ? 2 : 16) == 0);
+        bits.Set(i, ref[i]);
+      }
+      ByteWriter w;
+      bits.SerializeTo(w);
+      const std::vector<std::uint8_t> bytes = w.Take();
+      ASSERT_EQ(bytes, BytewisePack(ref));
+
+      ByteReader r(bytes.data(), bytes.size());
+      Bitmap back;
+      ASSERT_TRUE(back.DeserializeFrom(r));
+      EXPECT_TRUE(r.Done());
+      ASSERT_EQ(back.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(back.Test(i), ref[i]) << i;
+      }
+    }
+  }
+}
+
+TEST(FfsTest, BitmapPaddingBitsReadBackClear) {
+  for (const std::size_t n : {1, 7, 9, 63, 65, 8184}) {
+    SCOPED_TRACE(n);
+    // Every payload bit set, the padding past n included.
+    ByteWriter w;
+    w.U64(n);
+    w.Fill(0xFF, (n + 7) / 8);
+    const std::vector<std::uint8_t> dirty = w.Take();
+    ByteReader r(dirty.data(), dirty.size());
+    Bitmap bits;
+    ASSERT_TRUE(bits.DeserializeFrom(r));
+    ByteWriter again;
+    bits.SerializeTo(again);
+    EXPECT_EQ(again.data(), BytewisePack(std::vector<bool>(n, true)));
+  }
+}
+
+TEST(FfsTest, BitmapRejectsCountsTheInputCannotHold) {
+  for (const std::uint64_t n : {std::uint64_t{17}, ~std::uint64_t{0}, ~std::uint64_t{0} - 6}) {
+    SCOPED_TRACE(n);
+    ByteWriter w;
+    w.U64(n);
+    w.U8(0xFF);
+    w.U8(0xFF);  // two bytes: room for 16 bits
+    const std::vector<std::uint8_t> bytes = w.Take();
+    ByteReader r(bytes.data(), bytes.size());
+    Bitmap bits;
+    EXPECT_FALSE(bits.DeserializeFrom(r));
+  }
 }
 
 }  // namespace
