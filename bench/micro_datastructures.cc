@@ -16,6 +16,11 @@
 // encode and decode in memory, the CPU half of SaveMachineImage and
 // LoadMachineImage without the host file I/O.
 //
+// Two rows before those price the simulated syscall path every ICL probe
+// takes: a fiber switch (two fibers yielding to each other through a bare
+// Scheduler) and an Os::Stat of a two-level path on a warm cache, which
+// should allocate nothing.
+//
 // Loops are deterministic (fixed xorshift seed) and sized to run long
 // enough to dominate timer noise while keeping the whole binary under a
 // few seconds.
@@ -32,6 +37,7 @@
 #include "src/mem/mem_system.h"
 #include "src/os/machine.h"
 #include "src/os/machine_image_io.h"
+#include "src/os/scheduler.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/ref_event_heap.h"
 #include "src/workloads/filegen.h"
@@ -215,6 +221,40 @@ LoopResult BenchEventQueueAtDepth(std::uint64_t backlog) {
   return scaled;
 }
 
+// Two fibers yielding to each other through a bare Scheduler. One op is one
+// Yield: a switch out to the dispatch loop and a switch into the other
+// fiber.
+LoopResult BenchFiberSwitch() {
+  graysim::SimClock clock;
+  EventQueue events(0x5555AAAA5555AAAAULL);
+  graysim::Scheduler sched(&clock, &events, graysim::Millis(10.0));
+  constexpr std::uint64_t kYieldsPerFiber = 2'000'000;
+  const auto body = [&sched](int proc) {
+    for (std::uint64_t i = 0; i < kYieldsPerFiber; ++i) {
+      sched.Yield(proc);
+    }
+  };
+  const LoopResult r = TimeLoop(1, [&](std::uint64_t) { sched.Run({body, body}); });
+  LoopResult scaled = r;
+  scaled.mops = r.mops * static_cast<double>(2 * kYieldsPerFiber);
+  scaled.allocs_per_op = r.allocs_per_op / static_cast<double>(2 * kYieldsPerFiber);
+  return scaled;
+}
+
+// Os::Stat of /d0/dir/file once its directory and inode blocks are cached:
+// the path walk, the per-component directory reads and the virtual-time
+// charges, with no disk I/O.
+LoopResult BenchStatPath() {
+  graysim::Os os(PlatformProfile::Linux22());
+  const graysim::Pid pid = os.default_pid();
+  (void)os.Mkdir(pid, "/d0/dir");
+  (void)graywork::MakeFile(os, pid, "/d0/dir/file", 4096);
+  const std::string path = "/d0/dir/file";
+  graysim::InodeAttr attr;
+  (void)os.Stat(pid, path, &attr);
+  return TimeLoop(1'000'000, [&](std::uint64_t) { (void)os.Stat(pid, path, &attr); });
+}
+
 // Prices Machine::Snapshot and Machine::Fork on a machine with real state:
 // a 32 MB warmed file, dirty pages, and pending events. Forking is the
 // robustness-matrix inner loop, so its cost lands in the BENCH JSON both
@@ -358,6 +398,9 @@ int main() {
                   static_cast<unsigned long long>(backlog / 1000));
     Report(json, name, BenchEventQueueAtDepth<RefEventHeap>(backlog));
   }
+
+  Report(json, "fiber_switch", BenchFiberSwitch());
+  Report(json, "stat_path", BenchStatPath());
 
   BenchSnapshotFork(json);
   if (!BenchImageCodec(json)) {

@@ -64,29 +64,34 @@ Ffs::Ffs(FsParams params, std::uint64_t disk_capacity_bytes) : params_(params) {
 
 // --- path helpers ---
 
-std::vector<std::string> Ffs::SplitPath(std::string_view path) {
-  std::vector<std::string> parts;
-  std::size_t i = 0;
-  while (i < path.size()) {
-    while (i < path.size() && path[i] == '/') {
-      ++i;
-    }
-    std::size_t j = i;
-    while (j < path.size() && path[j] != '/') {
-      ++j;
-    }
-    if (j > i) {
-      parts.emplace_back(path.substr(i, j - i));
-    }
-    i = j;
-  }
-  return parts;
+namespace {
+
+// Removes the next component of `*rest` and returns it: the run of
+// non-slash characters after any leading slashes. Empty when none is left.
+std::string_view NextComponent(std::string_view* rest) {
+  const std::size_t start = std::min(rest->find_first_not_of('/'), rest->size());
+  const std::size_t end = std::min(rest->find('/', start), rest->size());
+  const std::string_view comp = rest->substr(start, end - start);
+  rest->remove_prefix(end);
+  return comp;
 }
 
+// True when the components of `dir` begin those of `path`: `path` names `dir`
+// or something beneath it.
+bool IsWithin(std::string_view path, std::string_view dir) {
+  for (std::string_view d = NextComponent(&dir); !d.empty(); d = NextComponent(&dir)) {
+    if (NextComponent(&path) != d) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
 FsErr Ffs::ResolveInum(std::string_view path, Inum* out) const {
-  const std::vector<std::string> parts = SplitPath(path);
   Inum cur = root_;
-  for (const std::string& part : parts) {
+  for (std::string_view comp = NextComponent(&path); !comp.empty(); comp = NextComponent(&path)) {
     const Inode* node = Get(cur);
     if (node == nullptr) {
       return FsErr::kNotFound;
@@ -94,7 +99,7 @@ FsErr Ffs::ResolveInum(std::string_view path, Inum* out) const {
     if (!node->is_dir) {
       return FsErr::kNotDir;
     }
-    const auto it = node->children.find(part);
+    const auto it = node->children.find(comp);
     if (it == node->children.end()) {
       return FsErr::kNotFound;
     }
@@ -104,29 +109,30 @@ FsErr Ffs::ResolveInum(std::string_view path, Inum* out) const {
   return FsErr::kOk;
 }
 
-FsErr Ffs::ResolveParent(std::string_view path, Inum* parent, std::string* leaf) const {
-  const std::vector<std::string> parts = SplitPath(path);
-  if (parts.empty()) {
+FsErr Ffs::ResolveParent(std::string_view path, Inum* parent, std::string_view* leaf) const {
+  std::string_view comp = NextComponent(&path);
+  if (comp.empty()) {
     return FsErr::kInvalid;
   }
   Inum cur = root_;
-  for (std::size_t i = 0; i + 1 < parts.size(); ++i) {
+  for (std::string_view next = NextComponent(&path); !next.empty(); next = NextComponent(&path)) {
     const Inode* node = Get(cur);
     if (node == nullptr || !node->is_dir) {
       return FsErr::kNotDir;
     }
-    const auto it = node->children.find(parts[i]);
+    const auto it = node->children.find(comp);
     if (it == node->children.end()) {
       return FsErr::kNotFound;
     }
     cur = it->second;
+    comp = next;
   }
   const Inode* pnode = Get(cur);
   if (pnode == nullptr || !pnode->is_dir) {
     return FsErr::kNotDir;
   }
   *parent = cur;
-  *leaf = parts.back();
+  *leaf = comp;
   return FsErr::kOk;
 }
 
@@ -323,7 +329,7 @@ FsErr Ffs::Lookup(std::string_view path, Inum* out) const { return ResolveInum(p
 
 FsErr Ffs::Create(std::string_view path, Inum* out) {
   Inum parent = kInvalidInum;
-  std::string leaf;
+  std::string_view leaf;
   if (const FsErr err = ResolveParent(path, &parent, &leaf); err != FsErr::kOk) {
     return err;
   }
@@ -337,7 +343,7 @@ FsErr Ffs::Create(std::string_view path, Inum* out) {
   }
   pnode = Get(parent);  // AllocInode may not invalidate, but be safe
   pnode->children.emplace(leaf, inum);
-  pnode->child_order.push_back(leaf);
+  pnode->child_order.emplace_back(leaf);
   pnode->size = pnode->children.size() * 64;
   pnode->mtime = now_hint_;
   if (out != nullptr) {
@@ -348,7 +354,7 @@ FsErr Ffs::Create(std::string_view path, Inum* out) {
 
 FsErr Ffs::Mkdir(std::string_view path, Inum* out) {
   Inum parent = kInvalidInum;
-  std::string leaf;
+  std::string_view leaf;
   if (const FsErr err = ResolveParent(path, &parent, &leaf); err != FsErr::kOk) {
     return err;
   }
@@ -362,7 +368,7 @@ FsErr Ffs::Mkdir(std::string_view path, Inum* out) {
   }
   pnode = Get(parent);
   pnode->children.emplace(leaf, inum);
-  pnode->child_order.push_back(leaf);
+  pnode->child_order.emplace_back(leaf);
   pnode->size = pnode->children.size() * 64;
   pnode->mtime = now_hint_;
   if (out != nullptr) {
@@ -373,7 +379,7 @@ FsErr Ffs::Mkdir(std::string_view path, Inum* out) {
 
 FsErr Ffs::Unlink(std::string_view path) {
   Inum parent = kInvalidInum;
-  std::string leaf;
+  std::string_view leaf;
   if (const FsErr err = ResolveParent(path, &parent, &leaf); err != FsErr::kOk) {
     return err;
   }
@@ -396,7 +402,7 @@ FsErr Ffs::Unlink(std::string_view path) {
 
 FsErr Ffs::Rmdir(std::string_view path) {
   Inum parent = kInvalidInum;
-  std::string leaf;
+  std::string_view leaf;
   if (const FsErr err = ResolveParent(path, &parent, &leaf); err != FsErr::kOk) {
     return err;
   }
@@ -423,8 +429,8 @@ FsErr Ffs::Rmdir(std::string_view path) {
 FsErr Ffs::Rename(std::string_view from, std::string_view to) {
   Inum from_parent = kInvalidInum;
   Inum to_parent = kInvalidInum;
-  std::string from_leaf;
-  std::string to_leaf;
+  std::string_view from_leaf;
+  std::string_view to_leaf;
   if (const FsErr err = ResolveParent(from, &from_parent, &from_leaf); err != FsErr::kOk) {
     return err;
   }
@@ -438,7 +444,17 @@ FsErr Ffs::Rename(std::string_view from, std::string_view to) {
   }
   const Inum moving = it->second;
   Inode* tp = Get(to_parent);
-  if (const auto existing = tp->children.find(to_leaf); existing != tp->children.end()) {
+  const auto existing = tp->children.find(to_leaf);
+  if (existing != tp->children.end() && existing->second == moving) {
+    return FsErr::kOk;  // POSIX: renaming a file onto itself does nothing
+  }
+  // A directory moved beneath itself would leave the tree as a cycle. A
+  // directory has exactly one name, so `to` lies beneath it exactly when
+  // `from` spells a prefix of `to`.
+  if (Get(moving)->is_dir && IsWithin(to, from)) {
+    return FsErr::kInvalid;
+  }
+  if (existing != tp->children.end()) {
     // POSIX rename over an existing file replaces it (files only).
     const Inode* target = Get(existing->second);
     const Inode* source = Get(moving);
@@ -457,7 +473,7 @@ FsErr Ffs::Rename(std::string_view from, std::string_view to) {
   fp->size = fp->children.size() * 64;
   fp->mtime = now_hint_;
   tp->children.emplace(to_leaf, moving);
-  tp->child_order.push_back(to_leaf);
+  tp->child_order.emplace_back(to_leaf);
   tp->size = tp->children.size() * 64;
   tp->mtime = now_hint_;
   return FsErr::kOk;
@@ -570,7 +586,7 @@ std::uint64_t Ffs::InodeBlockOf(Inum inum) const {
   return groups_[c].first_block + slot / inodes_per_block;
 }
 
-FsErr Ffs::DirBlocks(Inum dir_inum, std::vector<std::uint64_t>* out) const {
+FsErr Ffs::DirBlocks(Inum dir_inum, std::uint64_t* first, std::uint64_t* count) const {
   const Inode* node = Get(dir_inum);
   if (node == nullptr) {
     return FsErr::kNotFound;
@@ -580,14 +596,9 @@ FsErr Ffs::DirBlocks(Inum dir_inum, std::vector<std::uint64_t>* out) const {
   }
   // Directory entries are modeled as living in the group's inode-table
   // region alongside the inode (one block per 64 entries).
-  out->clear();
-  const std::uint64_t entry_blocks =
-      std::max<std::uint64_t>(1, (node->children.size() * 64 + params_.block_size - 1) /
-                                     params_.block_size);
-  const std::uint64_t base = InodeBlockOf(dir_inum);
-  for (std::uint64_t i = 0; i < entry_blocks; ++i) {
-    out->push_back(base + i);
-  }
+  const std::uint64_t entry_bytes = node->children.size() * 64;
+  *first = InodeBlockOf(dir_inum);
+  *count = std::max<std::uint64_t>(1, (entry_bytes + params_.block_size - 1) / params_.block_size);
   return FsErr::kOk;
 }
 

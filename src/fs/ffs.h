@@ -153,8 +153,9 @@ class Ffs {
   }
   // Disk block holding the on-disk inode for `inum` (for stat-cost modeling).
   [[nodiscard]] std::uint64_t InodeBlockOf(Inum inum) const;
-  // Blocks holding directory entries of `dir_inum`.
-  [[nodiscard]] FsErr DirBlocks(Inum dir_inum, std::vector<std::uint64_t>* out) const;
+  // Blocks holding directory entries of `dir_inum`: the contiguous run
+  // [*first, *first + *count).
+  [[nodiscard]] FsErr DirBlocks(Inum dir_inum, std::uint64_t* first, std::uint64_t* count) const;
 
   [[nodiscard]] const FsParams& params() const { return params_; }
   [[nodiscard]] std::uint64_t free_blocks() const { return free_data_blocks_; }
@@ -225,9 +226,10 @@ class Ffs {
     std::uint64_t rotor = 0;            // next-fit start for kSparse (relative)
   };
 
-  [[nodiscard]] static std::vector<std::string> SplitPath(std::string_view path);
+  // Path walks take components as views of the caller's path; repeated and
+  // trailing slashes are skipped. `*leaf` views `path`.
   [[nodiscard]] FsErr ResolveParent(std::string_view path, Inum* parent,
-                                    std::string* leaf) const;
+                                    std::string_view* leaf) const;
   [[nodiscard]] FsErr ResolveInum(std::string_view path, Inum* out) const;
 
   // The live inode `inum`, or null when it is out of range or free.

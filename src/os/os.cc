@@ -526,7 +526,7 @@ bool Os::ParsePath(std::string_view path, PathRef* out) const {
     return false;
   }
   out->disk = disk;
-  out->sub = std::string(path.substr(i));
+  out->sub = path.substr(i);
   return true;
 }
 
@@ -699,37 +699,27 @@ void Os::ChargeWalk(Pid pid, const PathRef& ref) {
   Ffs& f = *filesystems_[ref.disk];
   // Walk each directory on the path, reading its entry blocks, then read the
   // final component's inode block.
-  std::vector<std::uint64_t> blocks;
   Inum cur = f.root();
-  std::string_view rest = ref.sub;
-  while (!rest.empty()) {
-    while (!rest.empty() && rest.front() == '/') {
-      rest.remove_prefix(1);
-    }
-    if (rest.empty()) {
-      break;
-    }
-    const std::size_t slash = rest.find('/');
-    const std::string_view comp = rest.substr(0, slash);
+  for (std::size_t begin = ref.sub.find_first_not_of('/'); begin != std::string_view::npos;
+       begin = ref.sub.find_first_not_of('/', begin)) {
+    const std::size_t end = std::min(ref.sub.find('/', begin), ref.sub.size());
     // Read the directory we are searching.
-    if (f.DirBlocks(cur, &blocks) == FsErr::kOk) {
-      for (const std::uint64_t b : blocks) {
+    std::uint64_t first = 0;
+    std::uint64_t count = 0;
+    if (f.DirBlocks(cur, &first, &count) == FsErr::kOk) {
+      for (std::uint64_t b = first; b < first + count; ++b) {
         MetaRead(pid, ref.disk, b);
       }
     }
-    // Advance `cur` by resolving the accumulated path prefix.
-    const std::string prefix(ref.sub.substr(0, ref.sub.size() - rest.size()));
-    const std::string upto = prefix + std::string(comp);
+    // Advance `cur` by resolving the path up to this component from the
+    // root again: a MetaRead above may have blocked while another process
+    // unlinked or renamed part of the path.
     Inum next = kInvalidInum;
-    if (f.Lookup(upto, &next) != FsErr::kOk) {
+    if (f.Lookup(ref.sub.substr(0, end), &next) != FsErr::kOk) {
       return;  // component missing; caller already handled the error
     }
     cur = next;
-    if (slash == std::string_view::npos) {
-      rest = std::string_view();
-    } else {
-      rest.remove_prefix(slash);
-    }
+    begin = end;
   }
   // Final inode block.
   MetaRead(pid, ref.disk, f.InodeBlockOf(cur));
@@ -1453,9 +1443,12 @@ int Os::Rename(Pid pid, std::string_view from, std::string_view to) {
   }
   Ffs& f = *filesystems_[rfrom.disk];
   f.set_clock_hint(clock_.now());
-  // If the rename replaces an existing file, drop its pages.
+  // If the rename replaces an existing file, drop its pages. rename(p, p)
+  // replaces nothing: the "existing" file is the one being moved.
   Inum existing = kInvalidInum;
-  if (f.Lookup(rto.sub, &existing) == FsErr::kOk) {
+  Inum moving = kInvalidInum;
+  if (f.Lookup(rto.sub, &existing) == FsErr::kOk &&
+      (f.Lookup(rfrom.sub, &moving) != FsErr::kOk || moving != existing)) {
     cache_.DropFile(Tag(rto.disk, existing));
     InvalidateInflight(Tag(rto.disk, existing), 0);
   }
@@ -1482,9 +1475,10 @@ int Os::ReadDir(Pid pid, std::string_view path, std::vector<DirEntryInfo>* out) 
   if (const FsErr err = f.Lookup(ref.sub, &inum); err != FsErr::kOk) {
     return ToErr(err);
   }
-  std::vector<std::uint64_t> blocks;
-  if (f.DirBlocks(inum, &blocks) == FsErr::kOk) {
-    for (const std::uint64_t b : blocks) {
+  std::uint64_t first = 0;
+  std::uint64_t count = 0;
+  if (f.DirBlocks(inum, &first, &count) == FsErr::kOk) {
+    for (std::uint64_t b = first; b < first + count; ++b) {
       MetaRead(pid, ref.disk, b);
     }
   }

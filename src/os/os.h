@@ -136,7 +136,9 @@ class Os : private EvictionHandler {
 
   // ---- files ----
   // All calls return >= 0 on success; a negative value is
-  // -static_cast<int>(FsErr).
+  // -static_cast<int>(FsErr). A path argument is read until the call
+  // returns, including after the call blocks and other processes run, so
+  // it must stay alive and unchanged until then.
   [[nodiscard]] int Open(Pid pid, std::string_view path);
   int Close(Pid pid, int fd);
   // Reads `len` bytes at `offset`. `buf` may be empty (timing-only read); if
@@ -317,7 +319,7 @@ class Os : private EvictionHandler {
 
   struct PathRef {
     int disk = -1;
-    std::string sub;  // path within the file system
+    std::string_view sub;  // path within the file system: a view of the syscall's argument
   };
 
   // A demand or readahead read whose completion event has not yet filled
@@ -533,8 +535,8 @@ class Os : private EvictionHandler {
  public:
   // ---- snapshot / fork ----
   // A self-contained copy of one Os's complete simulation state, captured
-  // at quiescence (between RunProcesses calls — ucontext fiber stacks
-  // cannot be serialized, and none exist then). Pending events are pure
+  // at quiescence (between RunProcesses calls — fiber stacks cannot be
+  // serialized, and none exist then). Pending events are pure
   // data (EventDesc); the noncopyable memory-hierarchy classes are held
   // behind pointers and state-copied both ways. An Image is immutable after
   // capture and safe to share across threads, so any number of machines can

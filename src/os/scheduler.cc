@@ -7,6 +7,7 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
+#include <new>
 #include <string>
 
 // ASan must be told about every stack switch or it reports false positives
@@ -24,13 +25,14 @@ extern "C" {
 void __sanitizer_start_switch_fiber(void** fake_stack_save, const void* bottom, size_t size);
 void __sanitizer_finish_switch_fiber(void* fake_stack_save, const void** bottom_old,
                                      size_t* size_old);
+void __asan_unpoison_memory_region(const volatile void* addr, size_t size);
 }
 #endif
 
-// TSan likewise needs explicit fiber bookkeeping: a ucontext switch moves
-// the stack pointer out of the range it associates with the host thread,
-// which it otherwise reports as a corrupted stack. Each fiber gets a TSan
-// fiber object; switches are announced right before the swapcontext.
+// TSan likewise needs explicit fiber bookkeeping: a stack switch moves the
+// stack pointer out of the range it associates with the host thread, which
+// it otherwise reports as a corrupted stack. Each fiber gets a TSan fiber
+// object; switches are announced right before the stack switch.
 #if defined(__has_feature)
 #if __has_feature(thread_sanitizer)
 #define GRAYSIM_TSAN_FIBERS 1
@@ -46,6 +48,47 @@ void* __tsan_create_fiber(unsigned flags);
 void __tsan_destroy_fiber(void* fiber);
 void __tsan_switch_to_fiber(void* fiber, unsigned flags);
 }
+#endif
+
+#if defined(__x86_64__)
+// graysim_switch_stack(save, next) pushes the registers a called function
+// must preserve — rbx, rbp, r12-r15, and the MXCSR and x87 control word
+// that hold the floating-point rounding mode — stores the stack pointer in
+// *save, loads `next` as the stack pointer, pops the same state from it and
+// returns on that stack. It keeps no signal mask, so unlike swapcontext it
+// makes no system call.
+extern "C" [[gnu::visibility("hidden")]] void graysim_switch_stack(void** save, void* next);
+asm(R"(
+  .pushsection .text
+  .globl graysim_switch_stack
+  .hidden graysim_switch_stack
+  .type graysim_switch_stack, @function
+  .p2align 4
+graysim_switch_stack:
+  pushq %rbp
+  pushq %rbx
+  pushq %r12
+  pushq %r13
+  pushq %r14
+  pushq %r15
+  subq $8, %rsp
+  stmxcsr (%rsp)
+  fnstcw 4(%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  ldmxcsr (%rsp)
+  fldcw 4(%rsp)
+  addq $8, %rsp
+  popq %r15
+  popq %r14
+  popq %r13
+  popq %r12
+  popq %rbx
+  popq %rbp
+  ret
+  .size graysim_switch_stack, .-graysim_switch_stack
+  .popsection
+)");
 #endif
 
 namespace graysim {
@@ -108,12 +151,50 @@ class StackPool {
 
 thread_local StackPool t_stack_pool;
 
-// The trampoline installed by makecontext takes no arguments, so the
-// scheduler whose Run() is executing parks itself here. thread_local, not
-// global: every machine runs its fibers wholly on one host thread, so N
-// machines on N threads each get their own slot and never observe a
-// neighbor's scheduler — the one cross-machine global the fleet refactor
-// removed. Nested Run() calls remain forbidden per thread.
+#if defined(__x86_64__)
+// The state graysim_switch_stack pops on its first switch into a fiber,
+// lowest address first. It sits at the top of the fiber's stack, which is
+// 16-byte aligned, so the switch returns into `entry` with the stack pointer
+// 8 bytes off alignment, as a call instruction would leave it.
+struct FirstFrame {
+  std::uint32_t mxcsr = 0;
+  std::uint16_t x87_control = 0;
+  std::uint16_t unused = 0;
+  void* saved[6] = {};           // r15, r14, r13, r12, rbx and rbp, all zero
+  void (*entry)() = nullptr;     // graysim_switch_stack returns here
+  void* entry_return = nullptr;  // null: unwinds and backtraces stop in `entry`
+};
+static_assert(sizeof(FirstFrame) == 8 + 6 * 8 + 2 * 8, "the layout graysim_switch_stack pops");
+
+// Makes `*ctx` start `entry` on the stack [stack, stack + kFiberStackBytes),
+// with the calling thread's floating-point control state.
+void MakeContext(void** ctx, char* stack, void (*entry)()) {
+  auto* frame = new (stack + kFiberStackBytes - sizeof(FirstFrame)) FirstFrame{};
+  asm volatile("stmxcsr %0\n\tfnstcw %1" : "=m"(frame->mxcsr), "=m"(frame->x87_control));
+  frame->entry = entry;
+  *ctx = frame;
+}
+
+// Suspends the caller into `*save` and resumes `*next`.
+void SwapContext(void** save, void* const* next) { graysim_switch_stack(save, *next); }
+#else
+void MakeContext(ucontext_t* ctx, char* stack, void (*entry)()) {
+  getcontext(ctx);
+  ctx->uc_stack.ss_sp = stack;
+  ctx->uc_stack.ss_size = kFiberStackBytes;
+  ctx->uc_link = nullptr;  // fibers exit via SwitchToMain, never return
+  makecontext(ctx, entry, 0);
+}
+
+void SwapContext(ucontext_t* save, ucontext_t* next) { swapcontext(save, next); }
+#endif
+
+// The fiber entry trampoline takes no arguments, so the scheduler whose
+// Run() is executing parks itself here. thread_local, not global: every
+// machine runs its fibers wholly on one host thread, so N machines on N
+// threads each get their own slot and never observe a neighbor's scheduler
+// — the one cross-machine global the fleet refactor removed. Nested Run()
+// calls remain forbidden per thread.
 thread_local Scheduler* t_running = nullptr;
 
 }  // namespace
@@ -150,7 +231,7 @@ void Scheduler::SwitchToFiber(int i) {
   if (traced) {
     trace_->Begin(fiber_tracks_[i], "run", clock_->now());
   }
-  swapcontext(&main_ctx_, &f.ctx);
+  SwapContext(&main_ctx_, &f.ctx);
 #if defined(GRAYSIM_ASAN_FIBERS)
   __sanitizer_finish_switch_fiber(main_fake_stack_, nullptr, nullptr);
 #endif
@@ -171,7 +252,7 @@ void Scheduler::SwitchToMain(bool dying) {
 #if defined(GRAYSIM_TSAN_FIBERS)
   __tsan_switch_to_fiber(main_tsan_fiber_, 0);
 #endif
-  swapcontext(&f.ctx, &main_ctx_);
+  SwapContext(&f.ctx, &main_ctx_);
   // Resumed (never reached when dying).
 #if defined(GRAYSIM_ASAN_FIBERS)
   __sanitizer_finish_switch_fiber(f.fake_stack, nullptr, nullptr);
@@ -190,11 +271,12 @@ void Scheduler::Run(const std::vector<std::function<void(int)>>& bodies) {
   for (int i = 0; i < n; ++i) {
     auto f = std::make_unique<Fiber>();
     f->stack = t_stack_pool.Acquire();
-    getcontext(&f->ctx);
-    f->ctx.uc_stack.ss_sp = f->stack;
-    f->ctx.uc_stack.ss_size = kFiberStackBytes;
-    f->ctx.uc_link = nullptr;  // fibers exit via SwitchToMain, never return
-    makecontext(&f->ctx, &Scheduler::Trampoline, 0);
+#if defined(GRAYSIM_ASAN_FIBERS)
+    // A recycled stack still carries the shadow of its last fiber's frames,
+    // which never returned.
+    __asan_unpoison_memory_region(f->stack, kFiberStackBytes);
+#endif
+    MakeContext(&f->ctx, f->stack, &Scheduler::Trampoline);
 #if defined(GRAYSIM_TSAN_FIBERS)
     f->tsan_fiber = __tsan_create_fiber(0);
 #endif

@@ -1,11 +1,14 @@
 // Deterministic cooperative round-robin scheduler for simulated processes.
 //
-// Each simulated process runs on a stackful fiber (ucontext) multiplexed on
-// the single host thread that called Run(). Control transfers happen at
-// syscall-charge points, sleeps, and exits — the same yield points as the
-// old thread-per-process turnstile — but a switch is now two swapcontext
-// calls instead of a mutex/condvar crossing, so the per-charge fast path
-// takes no locks at all and scales to dozens of competing processes.
+// Each simulated process runs on a stackful fiber multiplexed on the single
+// host thread that called Run(). Control transfers happen at syscall-charge
+// points, sleeps, and exits — the same yield points as the old
+// thread-per-process turnstile — but a switch is now a stack switch instead
+// of a mutex/condvar crossing, so the per-charge fast path takes no locks at
+// all and scales to dozens of competing processes. On x86-64 the switch is
+// a few register moves (graysim_switch_stack in scheduler.cc saves the
+// callee-saved registers and the floating-point control state, and makes no
+// system call); elsewhere it is swapcontext.
 //
 // Sleep/wake is delegated to the discrete-event queue: a sleeping fiber
 // schedules its own wake event (Band::kWake), and when no fiber is runnable
@@ -14,7 +17,7 @@
 // execution on one deterministic timeline.
 //
 // Each scheduler is confined to whichever host thread calls its Run(): the
-// running-scheduler slot consulted by the makecontext trampoline is
+// running-scheduler slot consulted by the fiber entry trampoline is
 // thread_local, so N independent machines may run on N host threads
 // concurrently (the fleet model) with zero shared state between them.
 //
@@ -27,7 +30,9 @@
 #ifndef SRC_OS_SCHEDULER_H_
 #define SRC_OS_SCHEDULER_H_
 
+#if !defined(__x86_64__)
 #include <ucontext.h>
+#endif
 
 #include <cstdint>
 #include <functional>
@@ -84,8 +89,16 @@ class Scheduler {
  private:
   enum class State : std::uint8_t { kReady, kSleeping, kDone };
 
+  // A suspended flow of control. On x86-64 it is the suspended stack
+  // pointer: graysim_switch_stack keeps everything else on that stack.
+#if defined(__x86_64__)
+  using Context = void*;
+#else
+  using Context = ucontext_t;
+#endif
+
   struct Fiber {
-    ucontext_t ctx{};
+    Context ctx{};
     char* stack = nullptr;  // usable range, just above the guard page
     State state = State::kReady;
     Nanos slice_used = 0;
@@ -93,7 +106,7 @@ class Scheduler {
     // from this fiber (see __sanitizer_start_switch_fiber).
     void* fake_stack = nullptr;
     // TSan bookkeeping: the __tsan_create_fiber handle announced before
-    // every swapcontext into this fiber. Null outside TSan builds.
+    // every switch into this fiber. Null outside TSan builds.
     void* tsan_fiber = nullptr;
   };
 
@@ -116,7 +129,7 @@ class Scheduler {
   std::vector<std::uint32_t> fiber_tracks_;  // trace track id per fiber index
   std::vector<std::unique_ptr<Fiber>> fibers_;
   const std::vector<std::function<void(int)>>* bodies_ = nullptr;
-  ucontext_t main_ctx_{};
+  Context main_ctx_{};
   void* main_fake_stack_ = nullptr;
   // TSan handle of the dispatch loop's host thread, captured at Run() entry.
   void* main_tsan_fiber_ = nullptr;

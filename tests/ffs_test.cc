@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/sim/rng.h"
@@ -193,6 +194,95 @@ TEST(FfsTest, RenameDirectory) {
   Inum found = kInvalidInum;
   ASSERT_EQ(fs.Lookup("/new/file", &found), FsErr::kOk);
   EXPECT_EQ(found, f);
+}
+
+TEST(FfsTest, RenameOntoItselfIsANoOp) {
+  Ffs fs = MakeFs();
+  Inum a = kInvalidInum;
+  ASSERT_EQ(fs.Create("/a", &a), FsErr::kOk);
+  ASSERT_EQ(fs.Resize(a, 3 * 4096, 0), FsErr::kOk);
+  const std::uint64_t free0 = fs.free_blocks();
+  // POSIX: both names are the same directory entry, so nothing happens.
+  EXPECT_EQ(fs.Rename("/a", "/a"), FsErr::kOk);
+  EXPECT_EQ(fs.Rename("/a", "//a/"), FsErr::kOk);
+  Inum found = kInvalidInum;
+  ASSERT_EQ(fs.Lookup("/a", &found), FsErr::kOk);
+  EXPECT_EQ(found, a);
+  InodeAttr attr;
+  ASSERT_EQ(fs.GetAttr(a, &attr), FsErr::kOk);
+  EXPECT_EQ(attr.blocks, 3u);
+  EXPECT_EQ(fs.free_blocks(), free0);
+  std::vector<DirEntryInfo> entries;
+  ASSERT_EQ(fs.ListDir("/", &entries), FsErr::kOk);
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].name, "a");
+}
+
+TEST(FfsTest, RenameDirectoryBeneathItselfIsRejected) {
+  Ffs fs = MakeFs();
+  Inum a = kInvalidInum;
+  Inum b = kInvalidInum;
+  ASSERT_EQ(fs.Mkdir("/a", &a), FsErr::kOk);
+  ASSERT_EQ(fs.Mkdir("/a/b", &b), FsErr::kOk);
+  EXPECT_EQ(fs.Rename("/a", "/a/c"), FsErr::kInvalid);
+  EXPECT_EQ(fs.Rename("/a", "/a/b"), FsErr::kInvalid);
+  EXPECT_EQ(fs.Rename("/a", "/a/b/c"), FsErr::kInvalid);
+  EXPECT_EQ(fs.Rename("/a/", "//a//b/c"), FsErr::kInvalid);
+  Inum found = kInvalidInum;
+  ASSERT_EQ(fs.Lookup("/a", &found), FsErr::kOk);
+  EXPECT_EQ(found, a);
+  ASSERT_EQ(fs.Lookup("/a/b", &found), FsErr::kOk);
+  EXPECT_EQ(found, b);
+  // A sibling whose name merely starts with "a" is not beneath /a.
+  EXPECT_EQ(fs.Rename("/a", "/ab"), FsErr::kOk);
+  ASSERT_EQ(fs.Lookup("/ab/b", &found), FsErr::kOk);
+  EXPECT_EQ(found, b);
+}
+
+// Path spelling: leading, repeated and trailing slashes are skipped, a path
+// with no component names the root, a create needs a last component, and a
+// walk through a regular file fails with kNotDir.
+TEST(FfsTest, PathSpellingTable) {
+  struct Row {
+    std::string_view path;
+    FsErr lookup;
+    bool names_file;  // a successful lookup finds /a/b, else the root
+    FsErr create;
+    FsErr mkdir;
+    FsErr unlink;
+  };
+  constexpr Row kRows[] = {
+      {"", FsErr::kOk, false, FsErr::kInvalid, FsErr::kInvalid, FsErr::kInvalid},
+      {"/", FsErr::kOk, false, FsErr::kInvalid, FsErr::kInvalid, FsErr::kInvalid},
+      {"//", FsErr::kOk, false, FsErr::kInvalid, FsErr::kInvalid, FsErr::kInvalid},
+      {"/a//b", FsErr::kOk, true, FsErr::kExists, FsErr::kExists, FsErr::kOk},
+      {"/a/b/", FsErr::kOk, true, FsErr::kExists, FsErr::kExists, FsErr::kOk},
+      {"a/b", FsErr::kOk, true, FsErr::kExists, FsErr::kExists, FsErr::kOk},
+      {"/a/b/c", FsErr::kNotDir, false, FsErr::kNotDir, FsErr::kNotDir, FsErr::kNotDir},
+      {"/a/b/c/d", FsErr::kNotDir, false, FsErr::kNotDir, FsErr::kNotDir, FsErr::kNotDir},
+  };
+  // Each operation runs on its own copy of a tree holding /a and file /a/b.
+  Ffs base = MakeFs();
+  Inum file = kInvalidInum;
+  ASSERT_EQ(base.Mkdir("/a", nullptr), FsErr::kOk);
+  ASSERT_EQ(base.Create("/a/b", &file), FsErr::kOk);
+  for (const Row& row : kRows) {
+    SCOPED_TRACE("path \"" + std::string(row.path) + "\"");
+    Inum found = kInvalidInum;
+    EXPECT_EQ(base.Lookup(row.path, &found), row.lookup);
+    if (row.lookup == FsErr::kOk) {
+      EXPECT_EQ(found, row.names_file ? file : base.root());
+    }
+    Ffs fs = base;
+    EXPECT_EQ(fs.Create(row.path, &found), row.create);
+    fs = base;
+    EXPECT_EQ(fs.Mkdir(row.path, &found), row.mkdir);
+    fs = base;
+    EXPECT_EQ(fs.Unlink(row.path), row.unlink);
+    if (row.unlink == FsErr::kOk) {
+      EXPECT_EQ(fs.Lookup("/a/b", &found), FsErr::kNotFound);
+    }
+  }
 }
 
 TEST(FfsTest, ListDirReturnsCreationOrder) {

@@ -237,6 +237,21 @@ TEST(OsTest, UnlinkDropsCachedPages) {
   EXPECT_LT(os.FileCachePages(), before);
 }
 
+// rename(p, p) replaces nothing, so the file keeps its unwritten pages and
+// a later fsync still writes them.
+TEST(OsTest, RenameOntoItselfKeepsDirtyPages) {
+  Os os(PlatformProfile::Linux22());
+  const Pid pid = os.default_pid();
+  const int fd = os.Creat(pid, "/d0/file");
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(os.Pwrite(pid, fd, 4 * 4096, 0), 4 * 4096);
+  ASSERT_EQ(os.Rename(pid, "/d0/file", "/d0/file"), 0);
+  const std::uint64_t written = os.stats().writeback_pages;
+  ASSERT_EQ(os.Fsync(pid, fd), 0);
+  EXPECT_EQ(os.stats().writeback_pages - written, 4u);
+  ASSERT_EQ(os.Close(pid, fd), 0);
+}
+
 TEST(OsTest, StatReportsInumAndTimes) {
   Os os(PlatformProfile::Linux22());
   const Pid pid = os.default_pid();

@@ -6,6 +6,7 @@
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <cfenv>
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
@@ -166,6 +167,57 @@ TEST(SchedulerTest, DispatchDrainsEventQueueWhileAllSleep) {
   }});
   EXPECT_EQ(completion_at, Millis(5.0));
   EXPECT_GE(woke_at, completion_at);
+}
+
+// 1/3 rounded in the current rounding mode: upward and to-nearest round it
+// to different doubles. The volatile operands keep the division at run time.
+double OneThird() {
+  const volatile double one = 1.0;
+  const volatile double three = 3.0;
+  return one / three;
+}
+
+// A fiber switch keeps each side's floating-point control state, as a call
+// keeps it under the ABI: the kernel's jitter and latency arithmetic is
+// double math that feeds every digest. Fiber 0 rounds upward and yields;
+// fiber 1 still rounds to nearest; fiber 0 resumes rounding upward; and the
+// dispatching thread's mode is untouched afterwards.
+TEST(SchedulerTest, SwitchKeepsEachFibersRoundingMode) {
+  ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+  const double nearest = OneThird();
+  ASSERT_EQ(std::fesetround(FE_UPWARD), 0);
+  const double upward = OneThird();
+  ASSERT_EQ(std::fesetround(FE_TONEAREST), 0);
+  ASSERT_NE(nearest, upward);
+
+  SimClock clock;
+  EventQueue events(kTieSeed);
+  Scheduler sched(&clock, &events, Millis(10.0));
+  int a_mode = -1;
+  double a_quotient = 0.0;
+  int b_mode = -1;
+  double b_quotient = 0.0;
+  sched.Run({
+      [&](int p) {
+        std::fesetround(FE_UPWARD);
+        sched.Yield(p);
+        a_mode = std::fegetround();
+        a_quotient = OneThird();
+      },
+      [&](int) {
+        b_mode = std::fegetround();
+        b_quotient = OneThird();
+      },
+  });
+  const int outer_mode = std::fegetround();
+  const double outer_quotient = OneThird();
+  std::fesetround(FE_TONEAREST);  // leave the thread as found, even on failure
+  EXPECT_EQ(b_mode, FE_TONEAREST);
+  EXPECT_EQ(b_quotient, nearest);
+  EXPECT_EQ(a_mode, FE_UPWARD);
+  EXPECT_EQ(a_quotient, upward);
+  EXPECT_EQ(outer_mode, FE_TONEAREST);
+  EXPECT_EQ(outer_quotient, nearest);
 }
 
 class SchedulerScaling : public ::testing::TestWithParam<int> {};
