@@ -27,9 +27,10 @@ struct alignas(64) ThreadTally {
 std::atomic<ThreadTally*> g_tally_list{nullptr};
 
 ThreadTally* RegisterTally() {
-  // malloc, not operator new: the counting operators below would recurse
-  // into this registration.
-  void* raw = std::malloc(sizeof(ThreadTally));
+  // aligned_alloc, not operator new: the counting operators below would
+  // recurse into this registration. Plain malloc only guarantees 16-byte
+  // alignment, short of the cacheline padding ThreadTally is declared with.
+  void* raw = std::aligned_alloc(alignof(ThreadTally), sizeof(ThreadTally));
   if (raw == nullptr) {
     std::abort();
   }

@@ -134,18 +134,32 @@ class PageCache {
   struct FileState {
     std::uint64_t pages = 0;
     std::uint64_t page_span = 0;
+
+    template <class S, class V>
+    static constexpr void VisitFields(S& s, V&& v) {
+      v("pages", s.pages);
+    }
   };
 
-  // --- checkpoint surface (machine_image_io) ------------------------------
+  // The checkpointed state (machine_image_io): what CopyStateFrom copies.
+  // A load follows with RebuildPageSpans.
+  template <class S, class V>
+  static constexpr void VisitFields(S& s, V&& v) {
+    v("pages", s.pages_);
+    v("files", s.files_);
+    v("dirty_order", s.dirty_order_);
+  }
+  // Recomputes every file's page_span from the page table (after a restore
+  // that wrote only the page counts).
+  void RebuildPageSpans();
+
+  // Raw table access for tests that compare or perturb layouts.
   [[nodiscard]] const FlatMap<FrameId>& pages_map() const { return pages_; }
   [[nodiscard]] FlatMap<FrameId>& pages_map_mutable() { return pages_; }
   [[nodiscard]] const FlatMap<FileState>& files() const { return files_; }
   [[nodiscard]] FlatMap<FileState>& files_mutable() { return files_; }
   [[nodiscard]] const DirtyList& dirty_list() const { return dirty_order_; }
   void RestoreDirtyList(const DirtyList& list) { dirty_order_ = list; }
-  // Recomputes every file's page_span from the page table (after a restore
-  // that wrote only the page counts).
-  void RebuildPageSpans();
 
  private:
   // Key packing: the full 32-bit (disk-tagged) inum in the high bits and a

@@ -33,6 +33,18 @@ struct DiskGeometry {
 
   // The paper's testbed drive.
   [[nodiscard]] static DiskGeometry Ibm9Lzx() { return DiskGeometry{}; }
+
+  template <class S, class V>
+  static constexpr void VisitFields(S& s, V&& v) {
+    v("capacity_bytes", s.capacity_bytes);
+    v("rpm", s.rpm);
+    v("min_seek_ms", s.min_seek_ms);
+    v("full_stroke_seek_ms", s.full_stroke_seek_ms);
+    v("transfer_mb_per_s", s.transfer_mb_per_s);
+    v("controller_overhead_us", s.controller_overhead_us);
+    v("cylinder_span_bytes", s.cylinder_span_bytes);
+    v("inter_request_rotation_miss_ms", s.inter_request_rotation_miss_ms);
+  }
 };
 
 // Aggregate statistics, exposed for tests and benches (ground truth — the
@@ -44,6 +56,16 @@ struct DiskStats {
   std::uint64_t bytes_read = 0;
   std::uint64_t bytes_written = 0;
   Nanos busy_time = 0;
+
+  template <class S, class V>
+  static constexpr void VisitFields(S& s, V&& v) {
+    v("requests", s.requests);
+    v("sequential_requests", s.sequential_requests);
+    v("seeks", s.seeks);
+    v("bytes_read", s.bytes_read);
+    v("bytes_written", s.bytes_written);
+    v("busy_time", s.busy_time);
+  }
 };
 
 // A single disk. Access() returns the service time of a contiguous request
@@ -72,15 +94,14 @@ class Disk {
   [[nodiscard]] Nanos RotationalLatency() const;  // average: half a revolution
   [[nodiscard]] Nanos TransferTime(std::uint64_t bytes) const;
 
-  // --- checkpoint surface (machine_image_io) ------------------------------
-  // Head position is mechanical state: the next request's seek cost depends
-  // on it, so a restore that forgot it would diverge timing immediately.
-  [[nodiscard]] std::uint64_t head_pos() const { return head_pos_; }
-  [[nodiscard]] bool head_valid() const { return head_valid_; }
-  void RestoreState(std::uint64_t head_pos, bool head_valid, const DiskStats& stats) {
-    head_pos_ = head_pos;
-    head_valid_ = head_valid;
-    stats_ = stats;
+  // The checkpointed state (machine_image_io). Head position is mechanical
+  // state: the next request's seek cost depends on it, so a restore that
+  // forgot it would diverge timing immediately.
+  template <class S, class V>
+  static constexpr void VisitFields(S& s, V&& v) {
+    v("head_pos", s.head_pos_);
+    v("head_valid", s.head_valid_);
+    v("stats", s.stats_);
   }
 
  private:

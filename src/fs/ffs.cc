@@ -44,7 +44,7 @@ Ffs::Ffs(FsParams params, std::uint64_t disk_capacity_bytes) : params_(params) {
       (params_.inodes_per_cg + inodes_per_block - 1) / inodes_per_block;
 
   groups_.resize(cg_count);
-  inode_slots_ = cg_count * params_.inodes_per_cg + 1;
+  inodes_.slots = cg_count * params_.inodes_per_cg + 1;
   for (std::uint64_t c = 0; c < cg_count; ++c) {
     CylGroup& cg = groups_[c];
     cg.first_block = c * params_.blocks_per_cg;
@@ -137,11 +137,11 @@ FsErr Ffs::ResolveParent(std::string_view path, Inum* parent, std::string_view* 
 }
 
 const Ffs::Inode* Ffs::Get(Inum inum) const {
-  if (inum == kInvalidInum || inum >= inode_slots_) {
+  if (inum == kInvalidInum || inum >= inodes_.slots) {
     return nullptr;
   }
-  const std::uint32_t* record = record_of_.Find(inum);
-  return record == nullptr ? nullptr : &records_[*record];
+  const std::uint32_t* record = inodes_.record_of.Find(inum);
+  return record == nullptr ? nullptr : &inodes_.records[*record];
 }
 
 Ffs::Inode* Ffs::Get(Inum inum) {
@@ -164,7 +164,7 @@ Inum Ffs::AllocInode(std::uint32_t cg_hint, bool is_dir) {
         cg.inode_used.Set(slot, true);
         --cg.free_inodes;
         const Inum inum = static_cast<Inum>(c * params_.inodes_per_cg + slot + 1);
-        Inode& node = NewRecord(inum);
+        Inode& node = inodes_.Add(inum);
         node.is_dir = is_dir;
         node.cg = c;
         node.creation_seq = ++creation_counter_;
@@ -189,21 +189,21 @@ void Ffs::FreeInode(Inum inum) {
     FreeBlock(b);
   }
   *node = Inode{};  // releases the record's heap now, not at its reuse
-  free_records_.push_back(*record_of_.Find(inum));
-  record_of_.Erase(inum);
+  inodes_.free_records.push_back(*inodes_.record_of.Find(inum));
+  inodes_.record_of.Erase(inum);
 }
 
-Ffs::Inode& Ffs::NewRecord(Inum inum) {
+Ffs::Inode& Ffs::InodeTable::Add(Inum inum) {
   std::uint32_t index = 0;
-  if (free_records_.empty()) {
-    index = static_cast<std::uint32_t>(records_.size());
-    records_.emplace_back();
+  if (free_records.empty()) {
+    index = static_cast<std::uint32_t>(records.size());
+    records.emplace_back();
   } else {
-    index = free_records_.back();
-    free_records_.pop_back();
+    index = free_records.back();
+    free_records.pop_back();
   }
-  record_of_.Put(inum, index);
-  return records_[index];
+  record_of.Put(inum, index);
+  return records[index];
 }
 
 // --- block allocation ---
@@ -343,7 +343,7 @@ FsErr Ffs::Create(std::string_view path, Inum* out) {
   }
   pnode = Get(parent);  // AllocInode may not invalidate, but be safe
   pnode->children.emplace(leaf, inum);
-  pnode->child_order.emplace_back(leaf);
+  pnode->entries.push_back(Child{std::string(leaf), inum});
   pnode->size = pnode->children.size() * 64;
   pnode->mtime = now_hint_;
   if (out != nullptr) {
@@ -368,7 +368,7 @@ FsErr Ffs::Mkdir(std::string_view path, Inum* out) {
   }
   pnode = Get(parent);
   pnode->children.emplace(leaf, inum);
-  pnode->child_order.emplace_back(leaf);
+  pnode->entries.push_back(Child{std::string(leaf), inum});
   pnode->size = pnode->children.size() * 64;
   pnode->mtime = now_hint_;
   if (out != nullptr) {
@@ -394,7 +394,7 @@ FsErr Ffs::Unlink(std::string_view path) {
   }
   FreeInode(it->second);
   pnode->children.erase(it);
-  std::erase(pnode->child_order, leaf);
+  std::erase_if(pnode->entries, [leaf](const Child& c) { return c.name == leaf; });
   pnode->size = pnode->children.size() * 64;
   pnode->mtime = now_hint_;
   return FsErr::kOk;
@@ -420,7 +420,7 @@ FsErr Ffs::Rmdir(std::string_view path) {
   }
   FreeInode(it->second);
   pnode->children.erase(it);
-  std::erase(pnode->child_order, leaf);
+  std::erase_if(pnode->entries, [leaf](const Child& c) { return c.name == leaf; });
   pnode->size = pnode->children.size() * 64;
   pnode->mtime = now_hint_;
   return FsErr::kOk;
@@ -466,14 +466,14 @@ FsErr Ffs::Rename(std::string_view from, std::string_view to) {
     }
     FreeInode(existing->second);
     tp->children.erase(existing);
-    std::erase(tp->child_order, to_leaf);
+    std::erase_if(tp->entries, [to_leaf](const Child& c) { return c.name == to_leaf; });
   }
   fp->children.erase(it);
-  std::erase(fp->child_order, from_leaf);
+  std::erase_if(fp->entries, [from_leaf](const Child& c) { return c.name == from_leaf; });
   fp->size = fp->children.size() * 64;
   fp->mtime = now_hint_;
   tp->children.emplace(to_leaf, moving);
-  tp->child_order.emplace_back(to_leaf);
+  tp->entries.push_back(Child{std::string(to_leaf), moving});
   tp->size = tp->children.size() * 64;
   tp->mtime = now_hint_;
   return FsErr::kOk;
@@ -489,10 +489,9 @@ FsErr Ffs::ListDir(std::string_view path, std::vector<DirEntryInfo>* out) const 
     return FsErr::kNotDir;
   }
   out->clear();
-  out->reserve(node->child_order.size());
-  for (const std::string& name : node->child_order) {
-    const Inum child = node->children.at(name);
-    out->push_back(DirEntryInfo{name, child, Get(child)->is_dir});
+  out->reserve(node->entries.size());
+  for (const Child& c : node->entries) {
+    out->push_back(DirEntryInfo{c.name, c.inum, Get(c.inum)->is_dir});
   }
   return FsErr::kOk;
 }
@@ -631,167 +630,74 @@ std::uint64_t Ffs::creation_seq_of(Inum inum) const {
   return node == nullptr ? 0 : node->creation_seq;
 }
 
-void Bitmap::SerializeTo(ByteWriter& w) const {
-  w.U64(size_);
-  const std::size_t full = size_ / 64;
-  w.U64s(words_.data(), full);
+void Codec<Bitmap>::Put(ByteWriter& w, const Bitmap& b) {
+  w.U64(b.size_);
+  const std::size_t full = b.size_ / 64;
+  w.U64s(b.words_.data(), full);
   // Of a partial last word, only the bytes that hold bits below size().
-  for (std::size_t b = 0; b < (size_ % 64 + 7) / 8; ++b) {
-    w.U8(static_cast<std::uint8_t>(words_[full] >> (8 * b)));
+  for (std::size_t i = 0; i < (b.size_ % 64 + 7) / 8; ++i) {
+    w.U8(static_cast<std::uint8_t>(b.words_[full] >> (8 * i)));
   }
 }
 
-bool Bitmap::DeserializeFrom(ByteReader& r) {
+void Codec<Bitmap>::Get(ByteReader& r, Bitmap& b) {
   const std::uint64_t n = r.Count(0);
   // The byte count, rounded up without computing n + 7, which wraps for a
   // crafted n near 2^64.
   if (!r.ok() || n / 8 + (n % 8 != 0 ? 1 : 0) > r.remaining()) {
-    return false;
+    r.Fail();
+    return;
   }
-  Reset(static_cast<std::size_t>(n));
-  const std::size_t full = size_ / 64;
-  if (!r.U64s(words_.data(), full)) {
-    return false;
+  b.Reset(static_cast<std::size_t>(n));
+  const std::size_t full = b.size_ / 64;
+  if (!r.U64s(b.words_.data(), full)) {
+    return;
   }
-  const std::size_t tail = size_ % 64;
+  const std::size_t tail = b.size_ % 64;
   if (tail != 0) {
-    for (std::size_t b = 0; b < (tail + 7) / 8; ++b) {
-      words_[full] |= static_cast<std::uint64_t>(r.U8()) << (8 * b);
+    for (std::size_t i = 0; i < (tail + 7) / 8; ++i) {
+      b.words_[full] |= static_cast<std::uint64_t>(r.U8()) << (8 * i);
     }
-    words_[full] &= (std::uint64_t{1} << tail) - 1;  // padding bits read as clear
+    b.words_[full] &= (std::uint64_t{1} << tail) - 1;  // padding bits read as clear
   }
-  return r.ok();
 }
 
-void Ffs::SerializeTo(ByteWriter& w) const {
-  w.U32(params_.block_size);
-  w.U64(params_.total_blocks);
-  w.U64(params_.blocks_per_cg);
-  w.U32(params_.inodes_per_cg);
-  w.U32(params_.inode_size);
-  w.U8(static_cast<std::uint8_t>(params_.allocator));
-  w.U32(params_.sparse_file_gap_blocks);
-
-  w.U64(groups_.size());
-  for (const CylGroup& g : groups_) {
-    w.U64(g.first_block);
-    w.U64(g.data_start);
-    w.U64(g.data_end);
-    g.block_used.SerializeTo(w);
-    g.inode_used.SerializeTo(w);
-    w.U64(g.free_blocks);
-    w.U32(g.free_inodes);
-    w.U64(g.rotor);
-  }
-
-  // One in-use flag per logical slot, each live slot followed by its inode.
+void Codec<Ffs::InodeTable>::Put(ByteWriter& w, const Ffs::InodeTable& t) {
   std::vector<Inum> live;
-  live.reserve(record_of_.size());
-  record_of_.ForEach([&live](std::uint64_t inum, std::uint32_t) {
+  live.reserve(t.record_of.size());
+  t.record_of.ForEach([&live](std::uint64_t inum, std::uint32_t) {
     live.push_back(static_cast<Inum>(inum));
   });
   std::sort(live.begin(), live.end());
-  w.U64(inode_slots_);
+  w.U64(t.slots);
   std::uint64_t next_slot = 0;
   for (const Inum inum : live) {
     w.Fill(0, inum - next_slot);  // the free slots before this one
     next_slot = static_cast<std::uint64_t>(inum) + 1;
-    const Inode& ino = records_[*record_of_.Find(inum)];
     w.Bool(true);
-    w.Bool(ino.is_dir);
-    w.U64(ino.size);
-    w.I64(ino.atime);
-    w.I64(ino.mtime);
-    w.I64(ino.ctime);
-    w.U64(ino.creation_seq);
-    w.U32(ino.cg);
-    w.U64(ino.blocks.size());
-    for (const std::uint64_t b : ino.blocks) {
-      w.U64(b);
-    }
-    // child_order is creation order; children re-derives from (name, inum)
-    // pairs written in that same order.
-    w.U64(ino.child_order.size());
-    for (const std::string& name : ino.child_order) {
-      w.Str(name);
-      const auto it = ino.children.find(name);
-      w.U32(it == ino.children.end() ? kInvalidInum : it->second);
-    }
+    w.Put(t.records[*t.record_of.Find(inum)]);
   }
-  w.Fill(0, inode_slots_ - next_slot);
-
-  w.U32(root_);
-  w.U64(free_data_blocks_);
-  w.U64(creation_counter_);
-  w.U32(dir_cg_rotor_);
-  w.U64(log_head_);
-  w.I64(now_hint_);
+  w.Fill(0, t.slots - next_slot);
 }
 
-bool Ffs::DeserializeFrom(ByteReader& r) {
-  params_.block_size = r.U32();
-  params_.total_blocks = r.U64();
-  params_.blocks_per_cg = r.U64();
-  params_.inodes_per_cg = r.U32();
-  params_.inode_size = r.U32();
-  params_.allocator = static_cast<AllocatorKind>(r.U8());
-  params_.sparse_file_gap_blocks = r.U32();
-
-  groups_.clear();
-  groups_.resize(r.Count(32));
-  for (CylGroup& g : groups_) {
-    g.first_block = r.U64();
-    g.data_start = r.U64();
-    g.data_end = r.U64();
-    if (!g.block_used.DeserializeFrom(r) || !g.inode_used.DeserializeFrom(r)) {
-      return false;
-    }
-    g.free_blocks = r.U64();
-    g.free_inodes = r.U32();
-    g.rotor = r.U64();
-  }
-
-  records_.clear();
-  free_records_.clear();
-  record_of_ = FlatMap<std::uint32_t>();
-  inode_slots_ = r.Count(1);
-  if (inode_slots_ > std::uint64_t{1} << 32) {
-    return false;  // inums are 32-bit
+void Codec<Ffs::InodeTable>::Get(ByteReader& r, Ffs::InodeTable& t) {
+  t = Ffs::InodeTable{};
+  t.slots = r.Count(1);
+  if (t.slots > std::uint64_t{1} << 32) {
+    r.Fail();  // inums are 32-bit
+    return;
   }
   for (std::uint64_t slot = 0;; ++slot) {
-    slot += r.SkipZeros(inode_slots_ - slot);  // a run of free slots
-    if (slot == inode_slots_ || !r.Bool()) {
+    slot += r.SkipZeros(t.slots - slot);  // a run of free slots
+    if (slot == t.slots || !r.Bool()) {
       break;  // every slot read, or the input ran out (r.ok() is now false)
     }
-    Inode& ino = NewRecord(static_cast<Inum>(slot));
-    ino.is_dir = r.Bool();
-    ino.size = r.U64();
-    ino.atime = r.I64();
-    ino.mtime = r.I64();
-    ino.ctime = r.I64();
-    ino.creation_seq = r.U64();
-    ino.cg = r.U32();
-    ino.blocks.resize(r.Count(8));
-    for (std::uint64_t& b : ino.blocks) {
-      b = r.U64();
-    }
-    const std::uint64_t n_children = r.Count(9);  // name length + inum
-    ino.child_order.reserve(n_children);
-    for (std::uint64_t i = 0; i < n_children; ++i) {
-      std::string name = r.Str();
-      const Inum child = r.U32();
-      ino.children.emplace(name, child);
-      ino.child_order.push_back(std::move(name));
+    Ffs::Inode& ino = t.Add(static_cast<Inum>(slot));
+    r.Get(ino);
+    for (const Ffs::Child& c : ino.entries) {
+      ino.children.emplace(c.name, c.inum);
     }
   }
-
-  root_ = r.U32();
-  free_data_blocks_ = r.U64();
-  creation_counter_ = r.U64();
-  dir_cg_rotor_ = r.U32();
-  log_head_ = r.U64();
-  now_hint_ = r.I64();
-  return r.ok();
 }
 
 }  // namespace graysim

@@ -63,6 +63,9 @@ enum class AllocatorKind : std::uint8_t {
                    // *temporal* write order == spatial order (paper §4.2.5)
 };
 
+// The last AllocatorKind, for checkpoint readers (see ByteReader::Get).
+constexpr AllocatorKind LastEnumerator(AllocatorKind) { return AllocatorKind::kLogStructured; }
+
 struct FsParams {
   std::uint32_t block_size = 4096;
   std::uint64_t total_blocks = 0;    // derived from disk capacity when 0
@@ -71,6 +74,17 @@ struct FsParams {
   std::uint32_t inode_size = 128;    // 32 inodes per 4 KB block
   AllocatorKind allocator = AllocatorKind::kPacked;
   std::uint32_t sparse_file_gap_blocks = 12;  // gap left between files (kSparse)
+
+  template <class S, class V>
+  static constexpr void VisitFields(S& s, V&& v) {
+    v("block_size", s.block_size);
+    v("total_blocks", s.total_blocks);
+    v("blocks_per_cg", s.blocks_per_cg);
+    v("inodes_per_cg", s.inodes_per_cg);
+    v("inode_size", s.inode_size);
+    v("allocator", s.allocator);
+    v("sparse_file_gap_blocks", s.sparse_file_gap_blocks);
+  }
 };
 
 struct InodeAttr {
@@ -113,13 +127,19 @@ class Bitmap {
     return words_.capacity() * sizeof(std::uint64_t);
   }
 
-  void SerializeTo(ByteWriter& w) const;
-  // False on a count the remaining input cannot hold, or on short input.
-  [[nodiscard]] bool DeserializeFrom(ByteReader& r);
-
  private:
+  friend struct Codec<Bitmap>;
+
   std::size_t size_ = 0;
   std::vector<std::uint64_t> words_;
+};
+
+template <>
+struct Codec<Bitmap> {
+  static constexpr std::size_t kMinBytes = 8;  // the bit count
+  static void Put(ByteWriter& w, const Bitmap& b);
+  // Fails `r` on a count the remaining input cannot hold, or on short input.
+  static void Get(ByteReader& r, Bitmap& b);
 };
 
 // File system metadata manager for one disk.
@@ -179,20 +199,30 @@ class Ffs {
     return {groups_[g].first_block, groups_[g].data_start};
   }
 
-  // Durable checkpoint serialization (machine_image_io). Writes the complete
-  // metadata state — geometry params, group bitmaps, inode table including
-  // directory payloads — in deterministic (index / sorted-map) order.
-  void SerializeTo(ByteWriter& w) const;
-  [[nodiscard]] bool DeserializeFrom(ByteReader& r);
+  // The checkpointed state (machine_image_io): geometry params, group
+  // bitmaps, the inode table including directory payloads, and the
+  // allocation cursors.
+  template <class S, class V>
+  static constexpr void VisitFields(S& s, V&& v) {
+    v("params", s.params_);
+    v("groups", s.groups_);
+    v("inodes", s.inodes_);
+    v("root", s.root_);
+    v("free_data_blocks", s.free_data_blocks_);
+    v("creation_counter", s.creation_counter_);
+    v("dir_cg_rotor", s.dir_cg_rotor_);
+    v("log_head", s.log_head_);
+    v("now_hint", s.now_hint_);
+  }
 
   // Rough heap footprint in bytes (snapshot-size accounting; directory
   // payload strings are counted structurally, not byte-exactly).
   [[nodiscard]] std::uint64_t ApproxBytes() const {
-    std::uint64_t bytes = sizeof(Ffs) + record_of_.capacity_bytes() +
-                          free_records_.capacity() * sizeof(std::uint32_t);
-    for (const Inode& ino : records_) {
+    std::uint64_t bytes = sizeof(Ffs) + inodes_.record_of.capacity_bytes() +
+                          inodes_.free_records.capacity() * sizeof(std::uint32_t);
+    for (const Inode& ino : inodes_.records) {
       bytes += sizeof(Inode) + ino.blocks.capacity() * sizeof(std::uint64_t) +
-               ino.child_order.capacity() * sizeof(std::string);
+               ino.entries.capacity() * sizeof(Child);
     }
     for (const CylGroup& g : groups_) {
       bytes += sizeof(CylGroup) + g.block_used.capacity_bytes() + g.inode_used.capacity_bytes();
@@ -201,6 +231,17 @@ class Ffs {
   }
 
  private:
+  struct Child {
+    std::string name;
+    Inum inum = kInvalidInum;
+
+    template <class S, class V>
+    static constexpr void VisitFields(S& s, V&& v) {
+      v("name", s.name);
+      v("inum", s.inum);
+    }
+  };
+
   struct Inode {
     bool is_dir = false;
     std::uint64_t size = 0;
@@ -210,10 +251,42 @@ class Ffs {
     std::uint64_t creation_seq = 0;
     std::uint32_t cg = 0;
     std::vector<std::uint64_t> blocks;  // disk block numbers, one per file block
-    // Directory payload (metadata only; timing modeled via DirBlocks()).
+    // Directory payload (metadata only; timing modeled via DirBlocks()): the
+    // entries in creation order, which is readdir order, and a name index
+    // over them that is not checkpointed (a load rebuilds it).
+    std::vector<Child> entries;
     std::map<std::string, Inum, std::less<>> children;
-    std::vector<std::string> child_order;  // readdir order = creation order
+
+    template <class S, class V>
+    static constexpr void VisitFields(S& s, V&& v) {
+      v("is_dir", s.is_dir);
+      v("size", s.size);
+      v("atime", s.atime);
+      v("mtime", s.mtime);
+      v("ctime", s.ctime);
+      v("creation_seq", s.creation_seq);
+      v("cg", s.cg);
+      v("blocks", s.blocks);
+      v("entries", s.entries);
+    }
   };
+
+  // The inode table holds live inodes only: a slab of records, recycled
+  // through a free list, and an inum -> record index. Host cost follows the
+  // live inode count, not the table's capacity (tens of thousands of slots
+  // per disk, of which a machine typically uses a few hundred).
+  struct InodeTable {
+    std::vector<Inode> records;
+    std::vector<std::uint32_t> free_records;  // indexes of cleared records
+    FlatMap<std::uint32_t> record_of;         // live inum -> index in records
+    // Logical table size, cg_count * inodes_per_cg + 1 (inum 0 is never
+    // used): the bound Get checks and the slot count a checkpoint records.
+    std::uint64_t slots = 0;
+
+    // A cleared record for `inum`, taken from the free list or appended.
+    Inode& Add(Inum inum);
+  };
+  friend struct Codec<InodeTable>;
 
   struct CylGroup {
     std::uint64_t first_block = 0;      // first block of the group
@@ -224,6 +297,18 @@ class Ffs {
     std::uint64_t free_blocks = 0;
     std::uint32_t free_inodes = 0;
     std::uint64_t rotor = 0;            // next-fit start for kSparse (relative)
+
+    template <class S, class V>
+    static constexpr void VisitFields(S& s, V&& v) {
+      v("first_block", s.first_block);
+      v("data_start", s.data_start);
+      v("data_end", s.data_end);
+      v("block_used", s.block_used);
+      v("inode_used", s.inode_used);
+      v("free_blocks", s.free_blocks);
+      v("free_inodes", s.free_inodes);
+      v("rotor", s.rotor);
+    }
   };
 
   // Path walks take components as views of the caller's path; repeated and
@@ -244,8 +329,6 @@ class Ffs {
   // Frees the inode and its blocks. Moves no other live record, so parent
   // pointers and `children` iterators held across it stay valid.
   void FreeInode(Inum inum);
-  // A cleared record for `inum`, taken from the free list or appended.
-  Inode& NewRecord(Inum inum);
 
   // Allocates one data block for `inode`; `prev` is the previous block of
   // the file (contiguity preference) or 0 for the first block.
@@ -262,22 +345,23 @@ class Ffs {
 
   FsParams params_;
   std::vector<CylGroup> groups_;
-  // The inode table holds live inodes only: a slab of records, recycled
-  // through a free list, and an inum -> record index. Host cost follows the
-  // live inode count, not the table's capacity (tens of thousands of slots
-  // per disk, of which a machine typically uses a few hundred).
-  std::vector<Inode> records_;
-  std::vector<std::uint32_t> free_records_;  // indexes of cleared records
-  FlatMap<std::uint32_t> record_of_;         // live inum -> index in records_
-  // Logical table size, cg_count * inodes_per_cg + 1 (inum 0 is never
-  // used): the bound Get checks and the slot count a checkpoint records.
-  std::uint64_t inode_slots_ = 0;
+  InodeTable inodes_;
   Inum root_ = kInvalidInum;
   std::uint64_t free_data_blocks_ = 0;
   std::uint64_t creation_counter_ = 0;
   std::uint32_t dir_cg_rotor_ = 0;
   std::uint64_t log_head_ = 0;  // kLogStructured global append cursor
   Nanos now_hint_ = 0;
+};
+
+// The inode table's checkpoint encoding: the slot count, then per slot a
+// zero byte when it is free, or a one byte and the inode's field list. A
+// run of free slots is written and read as one block of zero bytes.
+template <>
+struct Codec<Ffs::InodeTable> {
+  static constexpr std::size_t kMinBytes = 8;  // the slot count
+  static void Put(ByteWriter& w, const Ffs::InodeTable& t);
+  static void Get(ByteReader& r, Ffs::InodeTable& t);
 };
 
 }  // namespace graysim

@@ -17,7 +17,6 @@ namespace {
 
 ProbeEngineOptions EngineOptionsFor(const FccdOptions& options) {
   ProbeEngineOptions eo;
-  eo.strategy = options.probe_strategy;
   if (!options.hardened) {
     eo.max_retries = 0;  // legacy behavior: fire once, fold whatever came back
   }

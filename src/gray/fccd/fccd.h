@@ -50,9 +50,6 @@ struct FccdOptions {
   // detector silently falls back to probes, so the same binary stays
   // portable.
   bool try_mincore = false;
-  // How the probe plan is executed (see ProbeEngine); offsets and probe
-  // order are identical either way, so the inference is too.
-  ProbeStrategy probe_strategy = ProbeStrategy::kBatched;
   // Interference hardening. When true: transiently failed probes are
   // retried with backoff (ProbeEngine), samples that still fail are excluded
   // from unit totals (a unit with no surviving probe gets fake_high_time

@@ -16,7 +16,6 @@ namespace {
 
 ProbeEngineOptions EngineOptionsFor(const FldcOptions& options) {
   ProbeEngineOptions eo;
-  eo.strategy = options.probe_strategy;
   if (!options.hardened) {
     eo.max_retries = 0;  // legacy behavior: fire once, take what came back
   }

@@ -30,8 +30,6 @@ struct FldcOptions {
   std::uint64_t copy_chunk = 1ULL * 1024 * 1024;
   // Suffix of the temporary directory created during a refresh.
   std::string refresh_suffix = ".gbrefresh";
-  // How the stat sweep is executed (see ProbeEngine).
-  ProbeStrategy probe_strategy = ProbeStrategy::kBatched;
   // Interference hardening. When true: transiently failed stats are retried
   // with backoff (ProbeEngine), a sweep that still saw failures re-stats
   // just the failed paths once more (a transient EIO would otherwise dump

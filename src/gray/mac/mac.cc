@@ -82,7 +82,7 @@ void GbAllocation::Release() {
 Mac::Mac(SysApi* sys, MacOptions options, const ParamRepository* repo)
     : sys_(sys),
       options_(options),
-      engine_(sys, ProbeEngineOptions{options.probe_strategy}) {
+      engine_(sys) {
   usage_.Record(Technique::kAlgorithmicKnowledge);
   usage_.Describe(Technique::kAlgorithmicKnowledge,
                   "page daemon evicts when the working set exceeds memory; "

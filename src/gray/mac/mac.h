@@ -49,11 +49,6 @@ struct MacOptions {
   Nanos slow_threshold = 0;
   Nanos retry_sleep = 500ULL * 1000 * 1000;  // 500 ms between admission retries
   int max_retries = 240;                     // give up after ~2 virtual minutes
-  // Execution strategy for calibration touches. The two admission loops are
-  // always streamed one page at a time regardless of this knob: each sample
-  // decides whether the next probe is issued (early skip/abort), and probing
-  // past the abort point would keep dirtying pages mid-thrash.
-  ProbeStrategy probe_strategy = ProbeStrategy::kBatched;
   // Interference hardening for the blocking path. Consecutive verification
   // aborts mean the memory estimate collapsed under interference (a shock,
   // a competitor's burst); hammering at a fixed period then thrashes — and

@@ -182,34 +182,6 @@ int PosixSys::Mincore(int fd, std::uint64_t offset, std::uint64_t length,
   return 0;
 }
 
-void PosixSys::PreadBatch(std::span<const PreadOp> ops, std::span<BatchResult> out) {
-  const std::size_t n = std::min(ops.size(), out.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    const Nanos t0 = Now();
-    const std::int64_t rc = Pread(ops[i].fd, {}, ops[i].len, ops[i].offset);
-    out[i] = BatchResult{Now() - t0, rc};
-  }
-}
-
-void PosixSys::MemTouchBatch(std::span<const MemTouchOp> ops, std::span<BatchResult> out) {
-  const std::size_t n = std::min(ops.size(), out.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    const Nanos t0 = Now();
-    MemTouch(ops[i].handle, ops[i].page_index, ops[i].write);
-    out[i] = BatchResult{Now() - t0, 0};
-  }
-}
-
-void PosixSys::StatBatch(std::span<const std::string> paths, std::span<FileInfo> infos,
-                         std::span<BatchResult> out) {
-  const std::size_t n = std::min({paths.size(), infos.size(), out.size()});
-  for (std::size_t i = 0; i < n; ++i) {
-    const Nanos t0 = Now();
-    const int rc = Stat(paths[i], &infos[i]);
-    out[i] = BatchResult{Now() - t0, rc};
-  }
-}
-
 MemHandle PosixSys::MemAlloc(std::uint64_t bytes) {
   if (bytes == 0) {
     return kInvalidMem;

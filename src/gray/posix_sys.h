@@ -61,15 +61,6 @@ class PosixSys final : public SysApi {
   int Mincore(int fd, std::uint64_t offset, std::uint64_t length,
               std::vector<bool>* resident) override;
 
-  // Plain loops over the scalar calls: POSIX offers no portable batched
-  // pread-at-arbitrary-offsets (preadv shares one offset; io_uring is not
-  // broadly available — the same portability argument as mincore, §4.1
-  // footnote 1). The batch calls still centralize timing in one place.
-  void PreadBatch(std::span<const PreadOp> ops, std::span<BatchResult> out) override;
-  void MemTouchBatch(std::span<const MemTouchOp> ops, std::span<BatchResult> out) override;
-  void StatBatch(std::span<const std::string> paths, std::span<FileInfo> infos,
-                 std::span<BatchResult> out) override;
-
   [[nodiscard]] MemHandle MemAlloc(std::uint64_t bytes) override;
   void MemFree(MemHandle handle) override;
   void MemTouch(MemHandle handle, std::uint64_t page_index, bool write) override;

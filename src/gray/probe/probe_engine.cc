@@ -134,16 +134,6 @@ void ProbeEngine::Account(Kind kind, const ProbeSample& sample) {
 
 std::vector<ProbeSample> ProbeEngine::RunPreads(std::span<const TimedPread> reqs) {
   std::vector<ProbeSample> samples(reqs.size());
-  if (options_.strategy == ProbeStrategy::kScalar) {
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-      const Nanos t0 = sys_->Now();
-      const std::int64_t rc = sys_->Pread(reqs[i].fd, {}, reqs[i].len, reqs[i].offset);
-      samples[i] = RetryPread(reqs[i], ProbeSample{sys_->Now() - t0, rc});
-      Account(Kind::kPread, samples[i]);
-    }
-    NoteRunOutcome(samples);
-    return samples;
-  }
   std::vector<PreadOp> ops;
   std::vector<BatchResult> results;
   for (std::size_t start = 0; start < reqs.size(); start += options_.max_batch) {
@@ -172,15 +162,6 @@ std::vector<ProbeSample> ProbeEngine::RunPreads(std::span<const TimedPread> reqs
 
 std::vector<ProbeSample> ProbeEngine::RunMemTouches(std::span<const TimedMemTouch> reqs) {
   std::vector<ProbeSample> samples(reqs.size());
-  if (options_.strategy == ProbeStrategy::kScalar) {
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-      samples[i] = ProbeSample{
-          sys_->MemTouchTimed(reqs[i].handle, reqs[i].page_index, reqs[i].write), 0};
-      Account(Kind::kMemTouch, samples[i]);
-    }
-    last_run_degraded_ = false;  // memory touches cannot fail
-    return samples;
-  }
   std::vector<MemTouchOp> ops;
   std::vector<BatchResult> results;
   for (std::size_t start = 0; start < reqs.size(); start += options_.max_batch) {
@@ -211,16 +192,6 @@ std::vector<ProbeSample> ProbeEngine::RunStats(std::span<const TimedStat> reqs,
                                                std::vector<FileInfo>* infos) {
   std::vector<ProbeSample> samples(reqs.size());
   infos->assign(reqs.size(), FileInfo{});
-  if (options_.strategy == ProbeStrategy::kScalar) {
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-      const Nanos t0 = sys_->Now();
-      const int rc = sys_->Stat(reqs[i].path, &(*infos)[i]);
-      samples[i] = RetryStat(reqs[i], &(*infos)[i], ProbeSample{sys_->Now() - t0, rc});
-      Account(Kind::kStat, samples[i]);
-    }
-    NoteRunOutcome(samples);
-    return samples;
-  }
   std::vector<std::string> paths;
   std::vector<BatchResult> results;
   for (std::size_t start = 0; start < reqs.size(); start += options_.max_batch) {

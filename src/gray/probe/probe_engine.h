@@ -7,17 +7,16 @@
 // an incremental RunningStats, and accounts probe overhead (probes issued,
 // bytes touched, probe time vs useful-work time) in one place.
 //
-// Execution strategy is pluggable:
-//  * kBatched (default) sends sub-batches through the SysApi batch calls,
-//    so a backend with a cheap boundary crossing (graysim, vectored I/O)
-//    pays the syscall tax once per batch;
-//  * kScalar loops over the scalar calls with Now() around each — the
-//    portable fallback every UNIX supports, and the paper's literal loop.
+// Plans run as sub-batches through the SysApi batch calls. A backend with a
+// cheap boundary crossing (graysim, vectored I/O) overrides them and pays
+// the syscall tax once per batch; on any other backend the SysApi defaults
+// loop over the scalar calls with Now() around each — the portable loop
+// every UNIX supports, and the paper's literal one.
 //
 // Early-exit probe loops (MAC's consecutive-slow abort) use RunUntil
 // variants, which are inherently sequential: each sample decides whether
-// the next probe is issued at all, so they execute scalar regardless of
-// strategy.
+// the next probe is issued at all, so they execute one scalar call at a
+// time.
 #ifndef SRC_GRAY_PROBE_PROBE_ENGINE_H_
 #define SRC_GRAY_PROBE_PROBE_ENGINE_H_
 
@@ -75,13 +74,7 @@ struct ProbeSample {
   std::int64_t rc = 0;
 };
 
-enum class ProbeStrategy {
-  kScalar,   // portable loop over scalar syscalls
-  kBatched,  // SysApi batch calls (one boundary crossing per sub-batch)
-};
-
 struct ProbeEngineOptions {
-  ProbeStrategy strategy = ProbeStrategy::kBatched;
   // Requests per SysApi batch call; bounds per-batch memory and lets long
   // plans interleave with competitors at sub-batch boundaries.
   std::size_t max_batch = 256;

@@ -14,7 +14,7 @@
 
 namespace gray {
 
-class SimSys final : public SysApi {
+class SimSys : public SysApi {
  public:
   SimSys(graysim::Os* os, graysim::Pid pid) : os_(os), pid_(pid) {}
 

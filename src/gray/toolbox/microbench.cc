@@ -22,7 +22,7 @@ double ToMbs(std::uint64_t bytes, Nanos elapsed) {
 Microbench::Microbench(SysApi* sys, MicrobenchOptions options)
     : sys_(sys),
       options_(std::move(options)),
-      engine_(sys, ProbeEngineOptions{options_.probe_strategy}),
+      engine_(sys),
       rng_state_(options_.seed | 1) {}
 
 std::uint64_t Microbench::NextRandom() {

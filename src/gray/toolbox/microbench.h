@@ -29,9 +29,6 @@ struct MicrobenchOptions {
   std::uint64_t disk_test_bytes = 256ULL * 1024 * 1024;
   int random_probes = 32;
   std::uint64_t seed = 0x9b5;
-  // Matches the execution strategy the ICLs will use, so the measured
-  // per-probe costs are the costs they will actually see.
-  ProbeStrategy probe_strategy = ProbeStrategy::kBatched;
 };
 
 class Microbench {

@@ -24,6 +24,8 @@
 #include <utility>
 #include <vector>
 
+#include "src/sim/byte_io.h"
+
 namespace graysim {
 
 enum class PageKind : std::uint8_t { kFile, kAnon };
@@ -45,6 +47,14 @@ struct FrameHot {
   FrameId lru_next = kNoFrame;
   FrameId dirty_prev = kNoFrame;  // PageCache write-behind chain
   FrameId dirty_next = kNoFrame;
+
+  template <class S, class V>
+  static constexpr void VisitFields(S& s, V&& v) {
+    v("lru_prev", s.lru_prev);
+    v("lru_next", s.lru_next);
+    v("dirty_prev", s.dirty_prev);
+    v("dirty_next", s.dirty_next);
+  }
 };
 
 // The frame slab. Allocation pops a LIFO free list (or grows the slab while
@@ -153,30 +163,14 @@ class FrameTable {
     free_ = other.free_;
   }
 
-  // --- checkpoint surface -------------------------------------------------
-  // The raw slab arrays, exposed verbatim for durable checkpoints. The free
-  // list's LIFO *order* is part of machine state: Allocate pops the back, so
-  // a reordered free list hands out different FrameIds after restore and
-  // diverges a bit-identical replay.
-  [[nodiscard]] const std::vector<FrameHot>& hot_array() const { return hot_; }
-  [[nodiscard]] const std::vector<std::uint64_t>& touch_array() const { return touch_; }
-  [[nodiscard]] const std::vector<std::uint8_t>& flags_array() const { return flags_; }
-  [[nodiscard]] const std::vector<std::uint64_t>& key1_array() const { return key1_; }
-  [[nodiscard]] const std::vector<std::uint64_t>& key2_array() const { return key2_; }
+  // The free list's LIFO *order* is part of machine state: Allocate pops
+  // the back, so a reordered free list hands out different FrameIds after
+  // restore and diverges a bit-identical replay.
   [[nodiscard]] const std::vector<FrameId>& free_list() const { return free_; }
 
-  void RestoreArrays(std::vector<FrameHot> hot, std::vector<std::uint64_t> touch,
-                     std::vector<std::uint8_t> flags, std::vector<std::uint64_t> key1,
-                     std::vector<std::uint64_t> key2, std::vector<FrameId> free_frames) {
-    hot_ = std::move(hot);
-    touch_ = std::move(touch);
-    flags_ = std::move(flags);
-    key1_ = std::move(key1);
-    key2_ = std::move(key2);
-    free_ = std::move(free_frames);
-  }
-
  private:
+  friend struct Codec<FrameTable>;
+
   static constexpr std::uint8_t kKindAnon = 1u << 0;
   static constexpr std::uint8_t kDirty = 1u << 1;
 
@@ -250,12 +244,13 @@ class IntrusiveFrameList {
     size_ = 0;
   }
 
-  // Checkpoint restore: the links themselves live in the slab arrays and
-  // are restored with them; only the head/tail/size triple is list-local.
-  void RestoreRaw(FrameId head, FrameId tail, std::uint64_t size) {
-    head_ = head;
-    tail_ = tail;
-    size_ = size;
+  // The checkpointed state: the links themselves live in the slab arrays
+  // and are checkpointed with them; only this triple is list-local.
+  template <class S, class V>
+  static constexpr void VisitFields(S& s, V&& v) {
+    v("head", s.head_);
+    v("tail", s.tail_);
+    v("size", s.size_);
   }
 
  private:
@@ -266,6 +261,56 @@ class IntrusiveFrameList {
 
 using LruList = IntrusiveFrameList<&FrameHot::lru_prev, &FrameHot::lru_next>;
 using DirtyList = IntrusiveFrameList<&FrameHot::dirty_prev, &FrameHot::dirty_next>;
+
+// The slab's checkpoint encoding: the frame count, shared by the parallel
+// arrays that follow it, then the free list in LIFO order.
+template <>
+struct Codec<FrameTable> {
+  static constexpr std::size_t kMinBytes = 16;  // the two counts
+
+  static void Put(ByteWriter& w, const FrameTable& t) {
+    w.U64(t.hot_.size());
+    for (const FrameHot& h : t.hot_) {
+      w.Put(h);
+    }
+    for (const std::uint64_t v : t.touch_) {
+      w.U64(v);
+    }
+    for (const std::uint8_t v : t.flags_) {
+      w.U8(v);
+    }
+    for (const std::uint64_t v : t.key1_) {
+      w.U64(v);
+    }
+    for (const std::uint64_t v : t.key2_) {
+      w.U64(v);
+    }
+    w.Put(t.free_);
+  }
+
+  static void Get(ByteReader& r, FrameTable& t) {
+    // A frame is its links, a touch stamp, a flags byte and two key words.
+    const std::size_t n = r.Count(graysim::kMinBytes<FrameHot> + 8 + 1 + 8 + 8);
+    t.hot_.assign(n, FrameHot{});
+    for (FrameHot& h : t.hot_) {
+      r.Get(h);
+    }
+    t.touch_.resize(n);
+    if (!r.U64s(t.touch_.data(), n)) {
+      return;
+    }
+    const std::uint8_t* flags = r.Take(n);
+    if (flags == nullptr) {
+      return;
+    }
+    t.flags_.assign(flags, flags + n);
+    t.key1_.resize(n);
+    t.key2_.resize(n);
+    if (r.U64s(t.key1_.data(), n) && r.U64s(t.key2_.data(), n)) {
+      r.Get(t.free_);
+    }
+  }
+};
 
 }  // namespace graysim
 

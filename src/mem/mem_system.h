@@ -40,11 +40,22 @@ enum class MemPolicy : std::uint8_t {
   kStickyFile,            // Solaris 7-like
 };
 
+// The last MemPolicy, for checkpoint readers (see ByteReader::Get).
+constexpr MemPolicy LastEnumerator(MemPolicy) { return MemPolicy::kStickyFile; }
+
 struct MemStats {
   std::uint64_t evictions = 0;
   std::uint64_t file_evictions = 0;
   std::uint64_t anon_evictions = 0;
   std::uint64_t admissions_denied = 0;
+
+  template <class S, class V>
+  static constexpr void VisitFields(S& s, V&& v) {
+    v("evictions", s.evictions);
+    v("file_evictions", s.file_evictions);
+    v("anon_evictions", s.anon_evictions);
+    v("admissions_denied", s.admissions_denied);
+  }
 
   friend bool operator==(const MemStats&, const MemStats&) = default;
 };
@@ -137,21 +148,16 @@ class MemSystem {
     stats_ = other.stats_;
   }
 
-  // --- checkpoint surface (machine_image_io) ------------------------------
-  [[nodiscard]] const LruList& file_lru() const { return file_lru_; }
-  [[nodiscard]] const LruList& anon_lru() const { return anon_lru_; }
-  [[nodiscard]] std::uint64_t touch_seq() const { return touch_seq_; }
-
-  void RestoreLists(const LruList& file, const LruList& anon) {
-    file_lru_ = file;
-    anon_lru_ = anon;
-  }
-  void RestoreCounters(std::uint64_t file_pages, std::uint64_t anon_pages,
-                       std::uint64_t touch_seq, const MemStats& stats) {
-    file_pages_ = file_pages;
-    anon_pages_ = anon_pages;
-    touch_seq_ = touch_seq;
-    stats_ = stats;
+  // The checkpointed state (machine_image_io): what CopyStateFrom copies.
+  template <class S, class V>
+  static constexpr void VisitFields(S& s, V&& v) {
+    v("frames", s.frames_);
+    v("file_lru", s.file_lru_);
+    v("anon_lru", s.anon_lru_);
+    v("file_pages", s.file_pages_);
+    v("anon_pages", s.anon_pages_);
+    v("touch_seq", s.touch_seq_);
+    v("stats", s.stats_);
   }
 
  private:

@@ -38,6 +38,15 @@ struct NetMessage {
   std::uint64_t tag = 0;      // opaque application tag (seq/ack number)
   std::uint64_t seq = 0;      // device-global send sequence number
   Nanos sent_at = 0;          // virtual time the send was submitted
+
+  template <class S, class V>
+  static constexpr void VisitFields(S& s, V&& v) {
+    v("from", s.from);
+    v("bytes", s.bytes);
+    v("tag", s.tag);
+    v("seq", s.seq);
+    v("sent_at", s.sent_at);
+  }
 };
 
 class NetDevice : private SimDevice::ServiceModel {
@@ -56,6 +65,13 @@ class NetDevice : private SimDevice::ServiceModel {
     // blocked on (or later handed) a closed endpoint fails ECONNRESET-style
     // instead of waiting for traffic that can never arrive.
     bool closed = false;
+
+    template <class S, class V>
+    static constexpr void VisitFields(S& s, V&& v) {
+      v("inbox", s.inbox);
+      v("in_flight", s.in_flight);
+      v("closed", s.closed);
+    }
   };
 
   NetDevice(const NetSchedule& schedule, SimClock* clock, EventQueue* events);
@@ -149,6 +165,22 @@ class NetDevice : private SimDevice::ServiceModel {
     std::uint64_t red_drops = 0;
     std::uint64_t chaos_drops = 0;
     std::uint64_t reordered = 0;
+
+    template <class S, class V>
+    static constexpr void VisitFields(S& s, V&& v) {
+      v("link", s.link);
+      v("rng", s.rng);
+      v("endpoints", s.endpoints);
+      v("delivery_hist", s.delivery_hist);
+      v("next_seq", s.next_seq);
+      v("sent", s.sent);
+      v("delivered", s.delivered);
+      v("loss_drops", s.loss_drops);
+      v("congestion_drops", s.congestion_drops);
+      v("red_drops", s.red_drops);
+      v("chaos_drops", s.chaos_drops);
+      v("reordered", s.reordered);
+    }
   };
 
   [[nodiscard]] State CaptureState() const;

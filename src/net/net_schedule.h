@@ -59,6 +59,23 @@ struct NetSchedule {
   std::uint64_t seed = 0x7e77;
 
   friend bool operator==(const NetSchedule&, const NetSchedule&) = default;
+
+  template <class S, class V>
+  static constexpr void VisitFields(S& s, V&& v) {
+    v("latency", s.latency);
+    v("bytes_per_sec", s.bytes_per_sec);
+    v("send_overhead", s.send_overhead);
+    v("drop_prob", s.drop_prob);
+    v("reorder_prob", s.reorder_prob);
+    v("reorder_delay", s.reorder_delay);
+    v("queue_capacity", s.queue_capacity);
+    v("red", s.red);
+    v("red_min_fraction", s.red_min_fraction);
+    v("red_max_fraction", s.red_max_fraction);
+    v("red_max_prob", s.red_max_prob);
+    v("recv_poll", s.recv_poll);
+    v("seed", s.seed);
+  }
 };
 
 }  // namespace graysim

@@ -37,6 +37,23 @@ struct ChaosStats {
   std::uint64_t delayed_net_messages = 0;  // sends inside a net-delay window
 
   friend bool operator==(const ChaosStats&, const ChaosStats&) = default;
+
+  template <class S, class V>
+  static constexpr void VisitFields(S& s, V&& v) {
+    v("injected_read_errors", s.injected_read_errors);
+    v("injected_stat_errors", s.injected_stat_errors);
+    v("injected_write_errors", s.injected_write_errors);
+    v("short_writes", s.short_writes);
+    v("disk_spikes", s.disk_spikes);
+    v("degraded_requests", s.degraded_requests);
+    v("reader_ticks", s.reader_ticks);
+    v("dirtier_ticks", s.dirtier_ticks);
+    v("antagonist_pages", s.antagonist_pages);
+    v("pressure_shocks", s.pressure_shocks);
+    v("stalled_allocs", s.stalled_allocs);
+    v("injected_net_drops", s.injected_net_drops);
+    v("delayed_net_messages", s.delayed_net_messages);
+  }
 };
 
 class ChaosEngine {

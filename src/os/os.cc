@@ -109,23 +109,14 @@ void Os::StartTrace(std::size_t capacity) { trace_.Enable(capacity); }
 
 void Os::BindMetrics(obs::MetricsRegistry* registry) const {
   obs::MetricsRegistry& r = *registry;
-  r.AddCounter("os.syscalls", &os_stats_.syscalls);
-  r.AddCounter("os.batch_syscalls", &os_stats_.batch_syscalls);
-  r.AddCounter("os.batched_ops", &os_stats_.batched_ops);
-  r.AddCounter("os.cache_hits", &os_stats_.cache_hits);
-  r.AddCounter("os.cache_misses", &os_stats_.cache_misses);
-  r.AddCounter("os.disk_reads", &os_stats_.disk_reads);
-  r.AddCounter("os.disk_writes", &os_stats_.disk_writes);
-  r.AddCounter("os.swap_ins", &os_stats_.swap_ins);
-  r.AddCounter("os.swap_outs", &os_stats_.swap_outs);
-  r.AddCounter("os.readahead_pages", &os_stats_.readahead_pages);
-  r.AddCounter("os.writeback_pages", &os_stats_.writeback_pages);
-  r.AddCounter("os.daemon_wakeups", &os_stats_.daemon_wakeups);
-  r.AddCounter("os.queued_disk_requests", &os_stats_.queued_disk_requests);
-  r.AddCounter("os.net_sends", &os_stats_.net_sends);
-  r.AddCounter("os.net_recvs", &os_stats_.net_recvs);
-  r.AddCounter("os.fsyncs", &os_stats_.fsyncs);
-  r.AddCounter("os.syncfs_calls", &os_stats_.syncfs_calls);
+  // One counter per OsStats field, named "os." + the field name. The name is
+  // built in place: one allocation at most, as for a literal.
+  OsStats::VisitFields(os_stats_, [&r](std::string_view field, const std::uint64_t& value) {
+    std::string name;
+    name.reserve(3 + field.size());
+    name.append("os.").append(field);
+    r.AddCounter(std::move(name), &value);
+  });
   r.AddGauge("os.events_scheduled", "", [this] {
     return static_cast<double>(events_.scheduled_total());
   });

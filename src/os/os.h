@@ -68,6 +68,28 @@ struct OsStats {
   std::uint64_t syncfs_calls = 0;
 
   friend bool operator==(const OsStats&, const OsStats&) = default;
+
+  // Also the `os.*` metric names, in registration order (Os::BindMetrics).
+  template <class S, class V>
+  static constexpr void VisitFields(S& s, V&& v) {
+    v("syscalls", s.syscalls);
+    v("batch_syscalls", s.batch_syscalls);
+    v("batched_ops", s.batched_ops);
+    v("cache_hits", s.cache_hits);
+    v("cache_misses", s.cache_misses);
+    v("disk_reads", s.disk_reads);
+    v("disk_writes", s.disk_writes);
+    v("swap_ins", s.swap_ins);
+    v("swap_outs", s.swap_outs);
+    v("readahead_pages", s.readahead_pages);
+    v("writeback_pages", s.writeback_pages);
+    v("daemon_wakeups", s.daemon_wakeups);
+    v("queued_disk_requests", s.queued_disk_requests);
+    v("net_sends", s.net_sends);
+    v("net_recvs", s.net_recvs);
+    v("fsyncs", s.fsyncs);
+    v("syncfs_calls", s.syncfs_calls);
+  }
 };
 
 // What a crash cost, reported by Os::Recover. Counters are cumulative over
@@ -315,6 +337,16 @@ class Os : private EvictionHandler {
     // Sequential-readahead state.
     std::uint64_t next_seq_offset = 0;
     std::uint32_t ra_window_pages = 0;
+
+    template <class S, class V>
+    static constexpr void VisitFields(S& s, V&& v) {
+      v("open", s.open);
+      v("disk", s.disk);
+      v("inum", s.inum);
+      v("offset", s.offset);
+      v("next_seq_offset", s.next_seq_offset);
+      v("ra_window_pages", s.ra_window_pages);
+    }
   };
 
   struct PathRef {
@@ -328,6 +360,12 @@ class Os : private EvictionHandler {
   struct InflightRead {
     Nanos completion = 0;
     std::uint64_t token = 0;
+
+    template <class S, class V>
+    static constexpr void VisitFields(S& s, V&& v) {
+      v("completion", s.completion);
+      v("token", s.token);
+    }
   };
 
   // Splits "/dN/rest" into (N, "/rest"). Returns false on malformed paths.

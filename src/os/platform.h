@@ -41,6 +41,18 @@ struct CostModel {
     const double ns_per_byte = 1e9 / (cpu_sort_mb_per_s * 1024.0 * 1024.0);
     return static_cast<Nanos>(static_cast<double>(bytes) * ns_per_byte);
   }
+
+  template <class S, class V>
+  static constexpr void VisitFields(S& s, V&& v) {
+    v("syscall_overhead", s.syscall_overhead);
+    v("copy_mb_per_s", s.copy_mb_per_s);
+    v("mem_touch", s.mem_touch);
+    v("zero_fill_page", s.zero_fill_page);
+    v("page_fault_overhead", s.page_fault_overhead);
+    v("cpu_scan_mb_per_s", s.cpu_scan_mb_per_s);
+    v("cpu_sort_mb_per_s", s.cpu_sort_mb_per_s);
+    v("fork_exec", s.fork_exec);
+  }
 };
 
 struct PlatformProfile {
@@ -52,6 +64,16 @@ struct PlatformProfile {
   // Whether the platform offers a mincore(2)-style residency syscall
   // (paper §4.1 footnote 1: not broadly available).
   bool has_mincore = false;
+
+  template <class S, class V>
+  static constexpr void VisitFields(S& s, V&& v) {
+    v("name", s.name);
+    v("mem_policy", s.mem_policy);
+    v("file_cache_bytes", s.file_cache_bytes);
+    v("fs_allocator", s.fs_allocator);
+    v("readahead", s.readahead);
+    v("has_mincore", s.has_mincore);
+  }
 
   // Linux 2.2-like: unified clock-LRU; nearly all memory is file cache.
   [[nodiscard]] static PlatformProfile Linux22() {
@@ -121,6 +143,26 @@ struct MachineConfig {
   // Simulated network link (NetSend/NetRecv/NetPoll). Always constructed —
   // an idle link costs nothing; `net.seed` is machine-derived in fleets.
   NetSchedule net;
+
+  template <class S, class V>
+  static constexpr void VisitFields(S& s, V&& v) {
+    v("phys_mem_bytes", s.phys_mem_bytes);
+    v("kernel_reserved_bytes", s.kernel_reserved_bytes);
+    v("page_size", s.page_size);
+    v("num_disks", s.num_disks);
+    v("disk_geometry", s.disk_geometry);
+    v("fs_params", s.fs_params);
+    v("costs", s.costs);
+    v("scheduler_slice", s.scheduler_slice);
+    v("timing_jitter", s.timing_jitter);
+    v("jitter_seed", s.jitter_seed);
+    v("event_tie_seed", s.event_tie_seed);
+    v("dirty_ratio", s.dirty_ratio);
+    v("readahead_min_pages", s.readahead_min_pages);
+    v("readahead_max_pages", s.readahead_max_pages);
+    v("chaos", s.chaos);
+    v("net", s.net);
+  }
 };
 
 }  // namespace graysim

@@ -4,12 +4,40 @@
 // consumes them with a sticky failure flag instead of per-call error
 // returns. The checkpoint loader verifies a per-section CRC32 before it
 // parses, so a reader only fails on content from a different format
-// version — callers check ok() once per section and reject the whole file,
-// never a partial restore.
+// version or content crafted to pass the CRC — callers check ok() once per
+// section and reject the whole file, never a partial restore.
 //
 // Encodings are explicit shifts, not memcpy of host structs: the file must
 // mean the same bytes on any host, and no padding or struct layout may
 // leak into the format.
+//
+// Field lists. A struct joins the format by listing its fields once, in
+// on-disk order, as a static member template:
+//
+//   template <class S, class V>
+//   static constexpr void VisitFields(S& s, V&& v) {
+//     v("s0", s.s0);
+//     v("s1", s.s1);
+//   }
+//
+// S is the struct or its const form, so the one list serves the writer
+// (ByteWriter::Put), the reader (ByteReader::Get) and any other walk by
+// field name, such as metric binding; constexpr lets kMinBytes walk it at
+// compile time. A field is checkpointed if and only if it is in its
+// struct's list. Put and Get take each field's encoding from its C++ type:
+//
+//   bool                              Bool
+//   uint8_t, and enums based on it    U8; Get rejects a value past the
+//                                     enum's LastEnumerator (found by ADL)
+//   uint32_t                          U32
+//   uint64_t                          U64
+//   signed integers                   I64
+//   double                            F64
+//   std::string                       Str
+//   std::vector, std::deque           U64 count, then the elements
+//   std::array                        the elements
+//   a struct with VisitFields         its fields, in list order
+//   anything else                     Codec<T>
 #ifndef SRC_SIM_BYTE_IO_H_
 #define SRC_SIM_BYTE_IO_H_
 
@@ -17,12 +45,69 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
+#include <deque>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace graysim {
 
+// The encoding of a type that is not a field list (its bytes are not its
+// fields, or it owns a layout the format must keep exactly). A
+// specialization provides
+//   static void Put(ByteWriter& w, const T& v);
+//   static void Get(ByteReader& r, T& v);  // fails `r` on bad input
+//   static constexpr std::size_t kMinBytes;  // fewest bytes one T encodes to
+// and must be declared before the first Put or Get of a T.
+template <class T>
+struct Codec;
+
 namespace byte_io_internal {
+
+template <class T>
+struct IsSequence : std::false_type {};
+template <class E, class A>
+struct IsSequence<std::vector<E, A>> : std::true_type {};
+template <class E, class A>
+struct IsSequence<std::deque<E, A>> : std::true_type {};
+
+template <class T>
+struct IsArray : std::false_type {};
+template <class E, std::size_t N>
+struct IsArray<std::array<E, N>> : std::true_type {};
+
+struct AnyField {
+  template <class F>
+  void operator()(const char* /*name*/, F& /*field*/) const {}
+};
+
+template <class T>
+concept HasFields = requires(T& t) { T::VisitFields(t, AnyField{}); };
+
+template <class T>
+constexpr std::size_t MinBytesOf() {
+  if constexpr (std::is_same_v<T, bool> || std::is_same_v<T, std::uint8_t> ||
+                std::is_enum_v<T>) {
+    return 1;
+  } else if constexpr (std::is_same_v<T, std::uint32_t>) {
+    return 4;
+  } else if constexpr (std::is_arithmetic_v<T>) {
+    return 8;  // U64, I64 or F64
+  } else if constexpr (std::is_same_v<T, std::string> || IsSequence<T>::value) {
+    return 8;  // the count
+  } else if constexpr (IsArray<T>::value) {
+    return std::tuple_size_v<T> * MinBytesOf<typename T::value_type>();
+  } else if constexpr (HasFields<T>) {
+    T t{};
+    std::size_t n = 0;
+    T::VisitFields(t, [&n](const char*, const auto& f) {
+      n += MinBytesOf<std::remove_cvref_t<decltype(f)>>();
+    });
+    return n;
+  } else {
+    return Codec<T>::kMinBytes;
+  }
+}
 
 // Little-endian loads and stores spelled out byte by byte, not as a loop:
 // compilers fuse the unrolled form into one memory access (plus a byte
@@ -140,6 +225,10 @@ class ByteWriter {
   void PatchU64(std::size_t at, std::uint64_t v) {
     byte_io_internal::StoreLe64(buf_.data() + at, v);
   }
+
+  // Any value with an encoding: a scalar, container, field list or Codec.
+  template <class T>
+  void Put(const T& v);
 
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
   [[nodiscard]] const std::vector<std::uint8_t>& data() const { return buf_; }
@@ -260,6 +349,14 @@ class ByteReader {
     return n;
   }
 
+  // Reads what ByteWriter::Put wrote for a value of v's type into `v`. On
+  // bad input fails the reader and may leave `v` partly read.
+  template <class T>
+  void Get(T& v);
+
+  // Marks the input bad: content that parsed but cannot be right.
+  void Fail() { failed_ = true; }
+
   [[nodiscard]] bool ok() const { return !failed_; }
   [[nodiscard]] std::size_t remaining() const { return static_cast<std::size_t>(end_ - p_); }
   // A fully-consumed, error-free read: the shape of a successful section.
@@ -278,6 +375,105 @@ class ByteReader {
   const std::uint8_t* end_;
   bool failed_ = false;
 };
+
+// The fewest bytes one encoded T can take. A reader bounds every element
+// count by the bytes left over this, so a corrupt count cannot size a
+// container past what the input could hold. Computed at compile time for
+// types that can be built in a constant expression, before main otherwise.
+template <class T>
+inline const std::size_t kMinBytes = byte_io_internal::MinBytesOf<T>();
+
+// Visitors that write, or read, every field of a list in order.
+struct FieldWriter {
+  ByteWriter& w;
+  template <class F>
+  void operator()(const char* /*name*/, const F& f) const {
+    w.Put(f);
+  }
+};
+
+struct FieldReader {
+  ByteReader& r;
+  template <class F>
+  void operator()(const char* /*name*/, F& f) const {
+    r.Get(f);
+  }
+};
+
+template <class T>
+void ByteWriter::Put(const T& v) {
+  if constexpr (std::is_enum_v<T>) {
+    static_assert(std::is_same_v<std::underlying_type_t<T>, std::uint8_t>);
+    U8(static_cast<std::uint8_t>(v));
+  } else if constexpr (std::is_same_v<T, bool>) {
+    Bool(v);
+  } else if constexpr (std::is_same_v<T, std::uint8_t>) {
+    U8(v);
+  } else if constexpr (std::is_same_v<T, std::uint32_t>) {
+    U32(v);
+  } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+    U64(v);
+  } else if constexpr (std::is_integral_v<T> && std::is_signed_v<T>) {
+    I64(v);
+  } else if constexpr (std::is_same_v<T, double>) {
+    F64(v);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    Str(v);
+  } else if constexpr (byte_io_internal::IsSequence<T>::value) {
+    U64(v.size());
+    for (const auto& e : v) {
+      Put(e);
+    }
+  } else if constexpr (byte_io_internal::IsArray<T>::value) {
+    for (const auto& e : v) {
+      Put(e);
+    }
+  } else if constexpr (byte_io_internal::HasFields<T>) {
+    T::VisitFields(v, FieldWriter{*this});
+  } else {
+    Codec<T>::Put(*this, v);
+  }
+}
+
+template <class T>
+void ByteReader::Get(T& v) {
+  if constexpr (std::is_enum_v<T>) {
+    const std::uint8_t raw = U8();
+    if (raw > static_cast<std::uint8_t>(LastEnumerator(T{}))) {
+      failed_ = true;
+    } else {
+      v = static_cast<T>(raw);
+    }
+  } else if constexpr (std::is_same_v<T, bool>) {
+    v = Bool();
+  } else if constexpr (std::is_same_v<T, std::uint8_t>) {
+    v = U8();
+  } else if constexpr (std::is_same_v<T, std::uint32_t>) {
+    v = U32();
+  } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+    v = U64();
+  } else if constexpr (std::is_integral_v<T> && std::is_signed_v<T>) {
+    v = static_cast<T>(I64());
+  } else if constexpr (std::is_same_v<T, double>) {
+    v = F64();
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    v = Str();
+  } else if constexpr (byte_io_internal::IsSequence<T>::value) {
+    v.clear();
+    v.resize(Count(kMinBytes<typename T::value_type>));
+    for (auto& e : v) {
+      Get(e);
+    }
+  } else if constexpr (byte_io_internal::IsArray<T>::value) {
+    for (auto& e : v) {
+      Get(e);
+    }
+  } else if constexpr (byte_io_internal::HasFields<T>) {
+    T::VisitFields(v, FieldReader{*this});
+  } else {
+    Codec<T>::Get(*this, v);
+  }
+}
 
 // CRC32 (IEEE 802.3, reflected polynomial 0xEDB88320), the per-section
 // checksum of checkpoint files; `seed` is a previous result to continue

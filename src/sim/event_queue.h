@@ -65,6 +65,13 @@ struct EventDesc {
   std::uint32_t kind = 0;  // EventKind; default kNone
   std::int32_t dev = 0;
   std::array<std::uint64_t, 6> arg{};
+
+  template <class S, class V>
+  static constexpr void VisitFields(S& s, V&& v) {
+    v("kind", s.kind);
+    v("dev", s.dev);
+    v("arg", s.arg);
+  }
 };
 
 class EventQueue {
@@ -87,6 +94,15 @@ class EventQueue {
     EventId id = 0;
     EventDesc desc;
     Band band = Band::kCompletion;
+
+    template <class S, class V>
+    static constexpr void VisitFields(S& s, V&& v) {
+      v("when", s.when);
+      v("tie", s.tie);
+      v("id", s.id);
+      v("desc", s.desc);
+      v("band", s.band);
+    }
   };
 
   // The queue's own mutable kernel state beyond the pending events: the
@@ -98,6 +114,13 @@ class EventQueue {
     Rng::State tie_rng;
     EventId next_id = 1;
     std::uint64_t scheduled_total = 0;
+
+    template <class S, class V>
+    static constexpr void VisitFields(S& s, V&& v) {
+      v("tie_rng", s.tie_rng);
+      v("next_id", s.next_id);
+      v("scheduled_total", s.scheduled_total);
+    }
   };
 
   explicit EventQueue(std::uint64_t tie_seed) : tie_rng_(tie_seed) {
@@ -270,6 +293,9 @@ class EventQueue {
   EventId next_id_ = 1;
   std::uint64_t scheduled_total_ = 0;
 };
+
+// The last Band, for checkpoint readers (see ByteReader::Get).
+constexpr EventQueue::Band LastEnumerator(EventQueue::Band) { return EventQueue::Band::kWake; }
 
 }  // namespace graysim
 

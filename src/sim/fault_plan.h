@@ -101,6 +101,40 @@ struct FaultPlan {
 
   friend bool operator==(const FaultPlan&, const FaultPlan&) = default;
 
+  template <class S, class V>
+  static constexpr void VisitFields(S& s, V&& v) {
+    v("enabled", s.enabled);
+    v("seed", s.seed);
+    v("read_eio_prob", s.read_eio_prob);
+    v("stat_eio_prob", s.stat_eio_prob);
+    v("write_enospc_prob", s.write_enospc_prob);
+    v("short_write_prob", s.short_write_prob);
+    v("eio_latency", s.eio_latency);
+    v("stat_eio_latency", s.stat_eio_latency);
+    v("degraded_disk", s.degraded_disk);
+    v("degraded_period", s.degraded_period);
+    v("degraded_duty", s.degraded_duty);
+    v("degraded_scale", s.degraded_scale);
+    v("spike_prob", s.spike_prob);
+    v("spike_scale", s.spike_scale);
+    v("jitter_burst_period", s.jitter_burst_period);
+    v("jitter_burst_duty", s.jitter_burst_duty);
+    v("jitter_burst_amplitude", s.jitter_burst_amplitude);
+    v("antagonist_period", s.antagonist_period);
+    v("reader_burst_pages", s.reader_burst_pages);
+    v("dirtier_burst_pages", s.dirtier_burst_pages);
+    v("antagonist_disk", s.antagonist_disk);
+    v("net_drop_prob", s.net_drop_prob);
+    v("net_delay_period", s.net_delay_period);
+    v("net_delay_duty", s.net_delay_duty);
+    v("net_delay_scale", s.net_delay_scale);
+    v("crash_at", s.crash_at);
+    v("shock_period", s.shock_period);
+    v("shock_duration", s.shock_duration);
+    v("shock_mem_fraction", s.shock_mem_fraction);
+    v("shock_alloc_stall", s.shock_alloc_stall);
+  }
+
   // Preset used by bench/robustness_matrix: one knob scales every
   // interference axis together. intensity 0 = disabled; 1 = a pathologically
   // busy, half-broken machine. Values are calibrated so that at 0.5 every

@@ -21,6 +21,8 @@
 #include <utility>
 #include <vector>
 
+#include "src/sim/byte_io.h"
+
 namespace graysim {
 
 template <typename V>
@@ -303,6 +305,48 @@ class FlatMap {
   std::vector<Slot> slots_;
   std::size_t mask_ = 0;
   std::size_t size_ = 0;
+};
+
+// The checkpoint encoding of the exact layout: the slot count, the live
+// count, then per live slot its index, key and value.
+template <typename V>
+struct Codec<FlatMap<V>> {
+  static constexpr std::size_t kMinBytes = 16;  // the two counts
+
+  static void Put(ByteWriter& w, const FlatMap<V>& m) {
+    w.U64(m.slot_count());
+    w.U64(m.size());
+    for (std::size_t i = 0; i < m.slot_count(); ++i) {
+      if (m.slot_key(i) != FlatMap<V>::kEmptyKey) {
+        w.U64(i);
+        w.U64(m.slot_key(i));
+        w.Put(m.slot_value(i));
+      }
+    }
+  }
+
+  static void Get(ByteReader& r, FlatMap<V>& m) {
+    const std::uint64_t cap = r.U64();
+    // A power of two (or empty), bounded well past any real machine (2^28
+    // slots ≈ 4 GB of page keys) so a corrupt count cannot exhaust memory.
+    const std::uint64_t live = r.Count(16 + graysim::kMinBytes<V>);
+    if (!r.ok() || cap > (1ULL << 28) || (cap & (cap - 1)) != 0 || live > cap) {
+      r.Fail();
+      return;
+    }
+    m.RestoreRawLayout(static_cast<std::size_t>(cap));
+    for (std::uint64_t n = 0; n < live; ++n) {
+      const std::uint64_t i = r.U64();
+      const std::uint64_t key = r.U64();
+      V value{};
+      r.Get(value);
+      if (!r.ok() || i >= cap || key == FlatMap<V>::kEmptyKey) {
+        r.Fail();
+        return;
+      }
+      m.RestoreRawSlot(static_cast<std::size_t>(i), key, std::move(value));
+    }
+  }
 };
 
 }  // namespace graysim

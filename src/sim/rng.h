@@ -29,6 +29,12 @@ class Rng {
   struct State {
     std::uint64_t s0 = 0;
     std::uint64_t s1 = 0;
+
+    template <class S, class V>
+    static constexpr void VisitFields(S& s, V&& v) {
+      v("s0", s.s0);
+      v("s1", s.s1);
+    }
   };
 
   explicit Rng(std::uint64_t seed) {

@@ -123,6 +123,18 @@ class SimDevice {
     std::uint64_t max_depth = 0;
     std::uint64_t total_requests = 0;
     std::uint64_t coalesced_requests = 0;
+
+    template <class S, class V>
+    static constexpr void VisitFields(S& s, V&& v) {
+      v("service_hist", s.service_hist);
+      v("busy_until", s.busy_until);
+      v("tail_end_offset", s.tail_end_offset);
+      v("tail_is_write", s.tail_is_write);
+      v("depth", s.depth);
+      v("max_depth", s.max_depth);
+      v("total_requests", s.total_requests);
+      v("coalesced_requests", s.coalesced_requests);
+    }
   };
 
   [[nodiscard]] State CaptureState() const {

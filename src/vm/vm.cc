@@ -145,54 +145,6 @@ void Vm::ReleaseProcess(Pid pid) {
   space = ProcessSpace{};
 }
 
-void Vm::SerializeTo(ByteWriter& w) const {
-  w.U64(spaces_.size());
-  for (const ProcessSpace& s : spaces_) {
-    w.U64(s.next_vpage);
-    w.U64(s.areas.size());
-    for (const Area& a : s.areas) {
-      w.U64(a.id);
-      w.U64(a.base_vpage);
-      w.U64(a.pages);
-    }
-    w.U64(s.table.size());
-    for (const Pte& pte : s.table) {
-      w.U64(pte.raw());
-    }
-  }
-  w.U64(next_area_);
-  w.U64(next_swap_slot_);
-  w.U64(free_swap_slots_.size());
-  for (const std::uint64_t slot : free_swap_slots_) {
-    w.U64(slot);
-  }
-}
-
-bool Vm::DeserializeFrom(ByteReader& r) {
-  spaces_.clear();
-  spaces_.resize(r.Count(8));
-  for (ProcessSpace& s : spaces_) {
-    s.next_vpage = r.U64();
-    s.areas.resize(r.Count(24));
-    for (Area& a : s.areas) {
-      a.id = r.U64();
-      a.base_vpage = r.U64();
-      a.pages = r.U64();
-    }
-    s.table.resize(r.Count(8));
-    for (Pte& pte : s.table) {
-      pte.set_raw(r.U64());
-    }
-  }
-  next_area_ = r.U64();
-  next_swap_slot_ = r.U64();
-  free_swap_slots_.resize(r.Count(8));
-  for (std::uint64_t& slot : free_swap_slots_) {
-    slot = r.U64();
-  }
-  return r.ok();
-}
-
 std::uint64_t Vm::AllocSwapSlot() {
   if (!free_swap_slots_.empty()) {
     const std::uint64_t slot = free_swap_slots_.back();

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "src/mem/mem_system.h"
-#include "src/sim/byte_io.h"
 #include "src/sim/clock.h"
 
 namespace graysim {
@@ -93,12 +92,16 @@ class Vm {
     return bytes;
   }
 
-  // Durable checkpoint serialization (machine_image_io). PTEs are written as
-  // their raw packed 64-bit form; the frame ids inside refer into the
-  // MemSystem slab serialized alongside. The mru_area hint is derived state
-  // and is not written.
-  void SerializeTo(ByteWriter& w) const;
-  [[nodiscard]] bool DeserializeFrom(ByteReader& r);
+  // The checkpointed state (machine_image_io). PTEs are written as their
+  // raw packed 64-bit form; the frame ids inside refer into the MemSystem
+  // slab checkpointed alongside.
+  template <class S, class V>
+  static constexpr void VisitFields(S& s, V&& v) {
+    v("spaces", s.spaces_);
+    v("next_area", s.next_area_);
+    v("next_swap_slot", s.next_swap_slot_);
+    v("free_swap_slots", s.free_swap_slots_);
+  }
 
  private:
   enum class PteState : std::uint8_t { kUnmapped, kResident, kSwapped };
@@ -124,8 +127,10 @@ class Vm {
     }
 
     // Checkpoint form: the packed word itself (state/slot/frame in one).
-    [[nodiscard]] std::uint64_t raw() const { return bits_; }
-    void set_raw(std::uint64_t bits) { bits_ = bits; }
+    template <class S, class V>
+    static constexpr void VisitFields(S& s, V&& v) {
+      v("bits", s.bits_);
+    }
 
    private:
     static constexpr std::uint64_t kSlotMask = (1ULL << 30) - 1;
@@ -136,6 +141,13 @@ class Vm {
     VmAreaId id = 0;
     std::uint64_t base_vpage = 0;
     std::uint64_t pages = 0;
+
+    template <class S, class V>
+    static constexpr void VisitFields(S& s, V&& v) {
+      v("id", s.id);
+      v("base_vpage", s.base_vpage);
+      v("pages", s.pages);
+    }
   };
 
   struct ProcessSpace {
@@ -146,8 +158,15 @@ class Vm {
     // (probe loops walk a chunk page by page), so this turns the per-touch
     // area lookup into one compare. Validated before use — a stale hint
     // after Free just falls back to the scan. Derived state: not
-    // snapshotted, never affects results.
+    // checkpointed, never affects results.
     std::size_t mru_area = 0;
+
+    template <class S, class V>
+    static constexpr void VisitFields(S& s, V&& v) {
+      v("next_vpage", s.next_vpage);
+      v("areas", s.areas);
+      v("table", s.table);
+    }
   };
 
   // Grows the space vector on first touch of a pid (matching the previous

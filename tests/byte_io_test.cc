@@ -2,8 +2,12 @@
 // equal the plain bitwise CRC-32 kept here as the reference, for every
 // length and alignment its eight-byte steps and bytewise tail can meet; the
 // bulk writer and reader calls must mean the same bytes as their scalar
-// counterparts. Labeled `snapshot` with the rest of the checkpoint tests.
+// counterparts; and a field list must encode each field as its type's row of
+// the table in byte_io.h says. Labeled `snapshot` with the rest of the
+// checkpoint tests.
+#include <array>
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -97,6 +101,129 @@ TEST(ByteIoTest, ReaderTakesAndSkipsInBulk) {
   EXPECT_EQ(r.SkipZeros(100), 0u);  // stops at the end
   EXPECT_EQ(r.Take(1), nullptr);    // past the end: fails, and stays failed
   EXPECT_FALSE(r.ok());
+}
+
+enum class Color : std::uint8_t { kRed, kGreen, kBlue };
+constexpr Color LastEnumerator(Color) { return Color::kBlue; }
+
+struct Item {
+  std::string name;
+  std::uint32_t id = 0;
+
+  template <class S, class V>
+  static constexpr void VisitFields(S& s, V&& v) {
+    v("name", s.name);
+    v("id", s.id);
+  }
+
+  friend bool operator==(const Item&, const Item&) = default;
+};
+
+// One field of every row of the type table.
+struct Sample {
+  bool flag = false;
+  std::uint8_t small = 0;
+  Color color = Color::kRed;
+  std::uint32_t word = 0;
+  std::uint64_t wide = 0;
+  std::int32_t offset = 0;
+  double ratio = 0.0;
+  std::string label;
+  std::vector<Item> items;
+  std::deque<std::int64_t> times;
+  std::array<std::uint32_t, 2> pair{};
+
+  template <class S, class V>
+  static constexpr void VisitFields(S& s, V&& v) {
+    v("flag", s.flag);
+    v("small", s.small);
+    v("color", s.color);
+    v("word", s.word);
+    v("wide", s.wide);
+    v("offset", s.offset);
+    v("ratio", s.ratio);
+    v("label", s.label);
+    v("items", s.items);
+    v("times", s.times);
+    v("pair", s.pair);
+  }
+
+  friend bool operator==(const Sample&, const Sample&) = default;
+};
+
+static_assert(kMinBytes<Item> == 8 + 4);
+
+TEST(ByteIoTest, FieldListsEncodeEachFieldByItsType) {
+  // The fewest bytes of a Sample: its scalars, three counts and the pair.
+  // (Not a constant expression: a std::deque cannot be built in one.)
+  EXPECT_EQ(kMinBytes<Sample>, 1u + 1 + 1 + 4 + 8 + 8 + 8 + 3 * 8 + 2 * 4);
+
+  Sample s;
+  s.flag = true;
+  s.small = 0xAB;
+  s.color = Color::kBlue;
+  s.word = 0x01020304;
+  s.wide = 0x1122334455667788ULL;
+  s.offset = -5;
+  s.ratio = 0.25;
+  s.label = "gsim";
+  s.items = {Item{"a", 1}, Item{"bc", 2}};
+  s.times = {-1, 7};
+  s.pair = {9, 10};
+
+  ByteWriter expected;
+  expected.Bool(true);
+  expected.U8(0xAB);
+  expected.U8(2);
+  expected.U32(0x01020304);
+  expected.U64(0x1122334455667788ULL);
+  expected.I64(-5);
+  expected.F64(0.25);
+  expected.Str("gsim");
+  expected.U64(2);
+  expected.Str("a");
+  expected.U32(1);
+  expected.Str("bc");
+  expected.U32(2);
+  expected.U64(2);
+  expected.I64(-1);
+  expected.I64(7);
+  expected.U32(9);
+  expected.U32(10);
+
+  ByteWriter w;
+  w.Put(s);
+  ASSERT_EQ(w.data(), expected.data());
+
+  ByteReader r(w.data().data(), w.size());
+  Sample back;
+  r.Get(back);
+  EXPECT_TRUE(r.Done());
+  EXPECT_EQ(back, s);
+}
+
+TEST(ByteIoTest, FieldListReaderRejectsEnumsPastTheLastAndOversizedCounts) {
+  Sample s;
+  ByteWriter w;
+  w.Put(s);
+  std::vector<std::uint8_t> bytes = w.Take();
+
+  bytes[2] = 3;  // color, one past kBlue
+  ByteReader bad_enum(bytes.data(), bytes.size());
+  Sample out;
+  bad_enum.Get(out);
+  EXPECT_FALSE(bad_enum.ok());
+
+  bytes[2] = 0;
+  // The item count sits after the 1 + 1 + 1 + 4 + 8 + 8 + 8 bytes of
+  // scalars and the empty label's length. Two items need at least 24 bytes
+  // behind the count; only the 8-byte deque count and the pair remain.
+  constexpr std::size_t kItems = 31 + 8;
+  bytes[kItems] = 2;
+  ByteReader bad_count(bytes.data(), bytes.size());
+  bad_count.Get(out);
+  EXPECT_FALSE(bad_count.ok());
+  EXPECT_TRUE(out.items.empty()) << "a count the input cannot hold sized the vector";
 }
 
 }  // namespace

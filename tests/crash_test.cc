@@ -8,8 +8,10 @@
 // NetRecv on a crashed endpoint fails ECONNRESET-style instead of hanging;
 // and checkpoints written by machine_image_io survive a disk round trip
 // bit-identically while every corrupted variant (truncated, bit-flipped,
-// wrong version, wrong magic, a crafted FFS bit count under a valid CRC) is
-// rejected with no partial restore.
+// wrong version, wrong magic, and under a valid CRC: a crafted FFS bit
+// count, enums past their last enumerator, a config the loader would divide
+// by zero on, events and fds that name missing devices) is rejected with no
+// partial restore.
 // Labeled `crash`: CI runs this suite under ASan+UBSan.
 #include <cstdint>
 #include <fstream>
@@ -344,6 +346,48 @@ TEST(CrashTest, CheckpointRoundTripsThroughDiskBitIdentically) {
   EXPECT_EQ(forked.recovery.crashes, 1u);
 }
 
+// FNV-1a over every byte of a file.
+std::uint64_t FileDigest(const std::string& path) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (const char c : ReadAll(path)) {
+    h ^= static_cast<std::uint8_t>(c);
+    h *= 0x100000001B3ULL;
+  }
+  return h;
+}
+
+// Golden checkpoint bytes of CheckpointableMachine. Unlike the golden in
+// snapshot_test.cc (chaos off, an idle link), these bytes cover an armed
+// FaultPlan with its ChaosStats and RNG state, chaos tick and crash events,
+// and a net message in flight. Captured at commit 32b461f; any change to
+// the digest is a change to machine state or to the checkpoint format.
+TEST(CrashTest, CheckpointBytesWithChaosAndNetMatchGolden) {
+  constexpr std::uint64_t kGoldenDigest = 0x65fa772b45c23a3eULL;
+  const MachineImage image = CheckpointableMachine()->Snapshot();
+  // What the golden is for: each of these reaches the file.
+  ASSERT_TRUE(image.os.chaos_armed);
+  ASSERT_TRUE(image.os.chaos_plan.enabled);
+  bool crash_pending = false;
+  bool tick_pending = false;
+  bool delivery_pending = false;
+  for (const EventQueue::RawEvent& ev : image.os.events) {
+    const auto kind = static_cast<EventKind>(ev.desc.kind);
+    crash_pending |= kind == EventKind::kCrash;
+    tick_pending |= kind == EventKind::kAntagonistTick || kind == EventKind::kShockTick;
+    delivery_pending |= kind == EventKind::kNetDeliver;
+  }
+  EXPECT_TRUE(crash_pending);
+  EXPECT_TRUE(tick_pending);
+  EXPECT_TRUE(delivery_pending);
+  ASSERT_EQ(image.os.net.endpoints.size(), 2u);
+  EXPECT_EQ(image.os.net.endpoints[1].in_flight.size(), 1u);
+
+  const std::string path = TempPath("golden_chaos_net.gsim");
+  std::string error;
+  ASSERT_TRUE(SaveMachineImage(image, path, &error)) << error;
+  EXPECT_EQ(FileDigest(path), kGoldenDigest);
+}
+
 TEST(CrashTest, CorruptCheckpointsAreRejectedWithoutPartialRestore) {
   std::unique_ptr<Machine> machine = CheckpointableMachine();
   const std::string path = TempPath("corrupt.gsim");
@@ -390,6 +434,63 @@ TEST(CrashTest, CorruptCheckpointsAreRejectedWithoutPartialRestore) {
           ~std::uint64_t{0});
     ReCrcSection(&count.bytes, kFilesystems);
     cases.push_back(std::move(count));
+  }
+  {
+    // Content that parses but that a restore would crash on, each under a
+    // valid CRC. `patched` sets `width` bytes at `offset` into section
+    // `tag`'s payload.
+    auto patched = [&good](std::uint32_t tag, std::size_t offset, int width, std::uint64_t v) {
+      std::vector<char> bytes = good;
+      PutLe(&bytes, SectionFrame(good, tag) + 16 + offset, width, v);
+      ReCrcSection(&bytes, tag);
+      return bytes;
+    };
+    auto payload_u64 = [&good](std::uint32_t tag, std::size_t offset) {
+      return GetLe(good, SectionFrame(good, tag) + 16 + offset, 8);
+    };
+    constexpr std::uint32_t kConfig = 2;
+    constexpr std::uint32_t kKernel = 3;
+    constexpr std::uint32_t kFilesystems = 4;
+    constexpr std::uint32_t kTables = 8;
+    // The config opens with the profile's name (a length, then the bytes)
+    // and its mem_policy; the config's FsParams::inode_size is 124 bytes on.
+    const std::size_t policy = 8 + payload_u64(kConfig, 0);
+    cases.push_back({"mem policy past its last enumerator", patched(kConfig, policy, 1, 7),
+                     "malformed config section"});
+    cases.push_back({"inode size of zero", patched(kConfig, policy + 124, 4, 0),
+                     "malformed config section"});
+    // A filesystem's params follow the filesystem count: block_size (4),
+    // total_blocks (8), blocks_per_cg (8), inodes_per_cg (4), inode_size
+    // (4), then the allocator.
+    cases.push_back({"FFS allocator past its last enumerator", patched(kFilesystems, 8 + 28, 1, 3),
+                     "malformed filesystem 0"});
+    // The kernel's 56-byte head and the event count precede event 0; its
+    // kind is 24 bytes in, and its dev follows the kind.
+    ASSERT_GT(payload_u64(kKernel, 56), 0u);
+    constexpr std::size_t kKind = 64 + 24;
+    constexpr std::size_t kDev = kKind + 4;
+    auto event = [&](std::uint32_t kind, std::int64_t dev) {
+      std::vector<char> bytes = patched(kKernel, kKind, 4, kind);
+      PutLe(&bytes, SectionFrame(good, kKernel) + 16 + kDev, 8, static_cast<std::uint64_t>(dev));
+      ReCrcSection(&bytes, kKernel);
+      return bytes;
+    };
+    constexpr auto code = [](EventKind k) { return static_cast<std::uint32_t>(k); };
+    cases.push_back({"event of kind kNone", event(code(EventKind::kNone), 0), "unknown kind 0"});
+    cases.push_back({"event of an unknown kind", event(99, 0), "unknown kind 99"});
+    cases.push_back({"completion on a missing disk", event(code(EventKind::kDeviceCompletion), 99),
+                     "names device 99"});
+    cases.push_back({"read fill on the net link", event(code(EventKind::kReadFillCompletion), -1),
+                     "names device -1"});
+    cases.push_back({"delivery to a missing endpoint", event(code(EventKind::kNetDeliver), 2),
+                     "names device 2"});
+    // The tables open with the pid count and pid 0's fd count; fd 0's open
+    // flag and disk follow.
+    ASSERT_GT(payload_u64(kTables, 8), 0u);
+    std::vector<char> fd = patched(kTables, 16, 1, 1);
+    PutLe(&fd, SectionFrame(good, kTables) + 16 + 17, 8, 99);
+    ReCrcSection(&fd, kTables);
+    cases.push_back({"open fd on a missing disk", std::move(fd), "open on disk 99"});
   }
 
   for (const Case& c : cases) {

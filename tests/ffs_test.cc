@@ -441,14 +441,14 @@ TEST(FfsTest, BitmapBytesMatchBytewisePacking) {
         bits.Set(i, ref[i]);
       }
       ByteWriter w;
-      bits.SerializeTo(w);
+      w.Put(bits);
       const std::vector<std::uint8_t> bytes = w.Take();
       ASSERT_EQ(bytes, BytewisePack(ref));
 
       ByteReader r(bytes.data(), bytes.size());
       Bitmap back;
-      ASSERT_TRUE(back.DeserializeFrom(r));
-      EXPECT_TRUE(r.Done());
+      r.Get(back);
+      ASSERT_TRUE(r.Done());
       ASSERT_EQ(back.size(), n);
       for (std::size_t i = 0; i < n; ++i) {
         ASSERT_EQ(back.Test(i), ref[i]) << i;
@@ -467,9 +467,10 @@ TEST(FfsTest, BitmapPaddingBitsReadBackClear) {
     const std::vector<std::uint8_t> dirty = w.Take();
     ByteReader r(dirty.data(), dirty.size());
     Bitmap bits;
-    ASSERT_TRUE(bits.DeserializeFrom(r));
+    r.Get(bits);
+    ASSERT_TRUE(r.ok());
     ByteWriter again;
-    bits.SerializeTo(again);
+    again.Put(bits);
     EXPECT_EQ(again.data(), BytewisePack(std::vector<bool>(n, true)));
   }
 }
@@ -484,7 +485,8 @@ TEST(FfsTest, BitmapRejectsCountsTheInputCannotHold) {
     const std::vector<std::uint8_t> bytes = w.Take();
     ByteReader r(bytes.data(), bytes.size());
     Bitmap bits;
-    EXPECT_FALSE(bits.DeserializeFrom(r));
+    r.Get(bits);
+    EXPECT_FALSE(r.ok());
   }
 }
 

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -49,6 +50,25 @@ struct TwinFixture {
   Os batched;
   SimSys sys_scalar;
   SimSys sys_batched;
+};
+
+// SimSys with the SysApi default batch loops in place of the Os's native
+// batch calls: the path a backend without a cheap boundary crossing (such
+// as PosixSys) takes.
+class DefaultLoopSys : public SimSys {
+ public:
+  using SimSys::SimSys;
+
+  void PreadBatch(std::span<const PreadOp> ops, std::span<BatchResult> out) override {
+    SysApi::PreadBatch(ops, out);
+  }
+  void MemTouchBatch(std::span<const MemTouchOp> ops, std::span<BatchResult> out) override {
+    SysApi::MemTouchBatch(ops, out);
+  }
+  void StatBatch(std::span<const std::string> paths, std::span<FileInfo> infos,
+                 std::span<BatchResult> out) override {
+    SysApi::StatBatch(paths, infos, out);
+  }
 };
 
 class BatchEquivalenceTest : public ::testing::TestWithParam<const char*> {};
@@ -149,44 +169,46 @@ TEST_P(BatchEquivalenceTest, StatBatchMatchesScalarLoop) {
   }
 }
 
+// The engine on the SysApi default batch loop and on the Os's native batch
+// calls: the same results, the same end state, the same accounting.
 TEST_P(BatchEquivalenceTest, EngineStrategiesAgreeAndAccount) {
   TwinFixture f(GetParam());
   for (Os* os : {&f.scalar, &f.batched}) {
     ASSERT_TRUE(graywork::MakeFile(*os, os->default_pid(), "/d0/file", 4 * kMb));
     os->FlushFileCache();
   }
-  const int fd_s = f.sys_scalar.Open("/d0/file");
+  DefaultLoopSys sys_loop(&f.scalar, f.scalar.default_pid());
+  const int fd_s = sys_loop.Open("/d0/file");
   const int fd_b = f.sys_batched.Open("/d0/file");
   ASSERT_EQ(fd_s, fd_b);
 
-  ProbeEngine scalar_engine(&f.sys_scalar,
-                            ProbeEngineOptions{ProbeStrategy::kScalar});
+  ProbeEngine loop_engine(&sys_loop);
   // A small max_batch so the run exercises sub-batch chunking.
-  ProbeEngine batched_engine(&f.sys_batched,
-                             ProbeEngineOptions{ProbeStrategy::kBatched, 7});
+  ProbeEngineOptions small_batches;
+  small_batches.max_batch = 7;
+  ProbeEngine batched_engine(&f.sys_batched, small_batches);
 
-  const std::uint32_t ps = f.sys_scalar.PageSize();
+  const std::uint32_t ps = sys_loop.PageSize();
   std::vector<TimedPread> reqs;
   for (std::uint64_t p = 0; p < 100; ++p) {
     reqs.push_back(TimedPread{fd_b, 1, p * 3 * ps});
   }
-  const auto scalar_samples = scalar_engine.RunPreads(reqs);
+  const auto loop_samples = loop_engine.RunPreads(reqs);
   const auto batched_samples = batched_engine.RunPreads(reqs);
 
-  ASSERT_EQ(scalar_samples.size(), batched_samples.size());
+  ASSERT_EQ(loop_samples.size(), batched_samples.size());
   for (std::size_t i = 0; i < reqs.size(); ++i) {
-    EXPECT_EQ(scalar_samples[i].rc, batched_samples[i].rc) << "req " << i;
+    EXPECT_EQ(loop_samples[i].rc, batched_samples[i].rc) << "req " << i;
   }
   EXPECT_EQ(f.scalar.FileCachePages(), f.batched.FileCachePages());
 
-  EXPECT_EQ(scalar_engine.report().probes, reqs.size());
+  EXPECT_EQ(loop_engine.report().probes, reqs.size());
   EXPECT_EQ(batched_engine.report().probes, reqs.size());
-  EXPECT_EQ(scalar_engine.report().batches, 0u);
   EXPECT_EQ(batched_engine.report().batches, (reqs.size() + 6) / 7);
-  EXPECT_EQ(scalar_engine.report().pread_probes, reqs.size());
-  EXPECT_EQ(scalar_engine.report().bytes_touched, reqs.size());  // 1-byte probes
-  EXPECT_EQ(scalar_engine.latency_stats().count(), reqs.size());
-  EXPECT_GT(scalar_engine.report().probe_time, 0u);
+  EXPECT_EQ(loop_engine.report().pread_probes, reqs.size());
+  EXPECT_EQ(loop_engine.report().bytes_touched, reqs.size());  // 1-byte probes
+  EXPECT_EQ(loop_engine.latency_stats().count(), reqs.size());
+  EXPECT_GT(loop_engine.report().probe_time, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Platforms, BatchEquivalenceTest,
