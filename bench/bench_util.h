@@ -8,6 +8,7 @@
 
 #include <sys/resource.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstdint>
@@ -114,6 +115,8 @@ class JsonResults {
     std::fprintf(f, "  \"virtual_time_s\": %.6f,\n",
                  static_cast<double>(virtual_ns_) / 1e9);
     std::fprintf(f, "  \"host_time_s\": %.6f,\n", host_s);
+    // The host shape the times were measured on (online CPUs).
+    std::fprintf(f, "  \"nproc\": %ld,\n", ::sysconf(_SC_NPROCESSORS_ONLN));
     std::fprintf(f, "  \"peak_rss_mb\": %.1f,\n",
                  static_cast<double>(usage.ru_maxrss) / 1024.0);
     std::fprintf(f, "  \"heap_allocs\": %llu,\n",

@@ -21,6 +21,11 @@
 // Scheduler) and an Os::Stat of a two-level path on a warm cache, which
 // should allocate nothing.
 //
+// Four rows count heap allocations (unit "allocs", which perf-smoke holds to
+// a ceiling) on the 64 MB two-disk machine both perfbench workloads build:
+// constructing one, a Snapshot and a Fork of it once populated, and a warm
+// two-page Pwrite plus Fsync on an open fd, which should allocate nothing.
+//
 // Loops are deterministic (fixed xorshift seed) and sized to run long
 // enough to dominate timer noise while keeping the whole binary under a
 // few seconds.
@@ -306,6 +311,66 @@ void BenchSnapshotFork(gbench::JsonResults& json) {
   json.Add("machine_image_bytes", static_cast<double>(image.os.ApproxBytes()), "bytes");
 }
 
+// The machine perfbench's load_steady and ckpt_restart build: 64 MB, two
+// disks, with a sort input, a grep set and an aging set on it once
+// Populate has run.
+graysim::MachineConfig ServiceShape() {
+  graysim::MachineConfig config;
+  config.phys_mem_bytes = 64 * gbench::kMb;
+  config.kernel_reserved_bytes = 16 * gbench::kMb;
+  config.num_disks = 2;
+  return config;
+}
+
+void Populate(graysim::Os& os) {
+  const graysim::Pid pid = os.default_pid();
+  (void)graywork::MakeFile(os, pid, "/d0/sort_in", 256 * 1024);
+  (void)graywork::MakeFileSet(os, pid, "/d1/src", 4, 64 * 1024);
+  (void)graywork::MakeFileSet(os, pid, "/d0/age", 4, 32 * 1024);
+}
+
+std::uint64_t AllocsSince(const gbench::AllocCounts& start) {
+  return gbench::AllocSnapshot().allocs - start.allocs;
+}
+
+void BenchMachineAllocs(gbench::JsonResults& json) {
+  gbench::AllocCounts start = gbench::AllocSnapshot();
+  Machine machine(PlatformProfile::Linux22(), ServiceShape(), /*machine_id=*/0,
+                  /*seed=*/0x10AD);
+  const std::uint64_t new_allocs = AllocsSince(start);
+  graysim::Os& os = machine.os();
+  Populate(os);
+
+  start = gbench::AllocSnapshot();
+  const MachineImage image = machine.Snapshot();
+  const std::uint64_t snapshot_allocs = AllocsSince(start);
+  start = gbench::AllocSnapshot();
+  const std::unique_ptr<Machine> fork = Machine::Fork(image);
+  const std::uint64_t fork_allocs = AllocsSince(start);
+
+  const graysim::Pid pid = os.default_pid();
+  const int fd = os.Open(pid, "/d0/sort_in");
+  (void)os.Pwrite(pid, fd, 2 * 4096, 0);  // grows the writeback buffers once
+  (void)os.Fsync(pid, fd);
+  const LoopResult fsync = TimeLoop(10'000, [&](std::uint64_t i) {
+    (void)os.Pwrite(pid, fd, 2 * 4096, (i % 32) * 2 * 4096);
+    (void)os.Fsync(pid, fd);
+  });
+  (void)os.Close(pid, fd);
+
+  std::printf("%-28s %10llu allocs\n", "machine_new",
+              static_cast<unsigned long long>(new_allocs));
+  std::printf("%-28s %10llu allocs\n", "machine_snapshot",
+              static_cast<unsigned long long>(snapshot_allocs));
+  std::printf("%-28s %10llu allocs\n", "machine_fork",
+              static_cast<unsigned long long>(fork_allocs));
+  std::printf("%-28s %10.4f allocs/op\n", "fsync", fsync.allocs_per_op);
+  json.Add("machine_new_allocs", static_cast<double>(new_allocs), "allocs");
+  json.Add("machine_snapshot_allocs", static_cast<double>(snapshot_allocs), "allocs");
+  json.Add("machine_fork_allocs", static_cast<double>(fork_allocs), "allocs");
+  json.Add("fsync_allocs_per_op", fsync.allocs_per_op, "allocs");
+}
+
 // Prices EncodeMachineImage and DecodeMachineImage on a populated 64 MB,
 // two-disk machine (perfbench ckpt_restart's shape). Most of its image is
 // FFS cylinder-group bitmaps and inode-slot flags, and every byte is
@@ -314,16 +379,9 @@ void BenchSnapshotFork(gbench::JsonResults& json) {
 // perf-smoke's 5x gate. False when the decoded image does not re-encode to
 // the same bytes.
 bool BenchImageCodec(gbench::JsonResults& json) {
-  graysim::MachineConfig config;
-  config.phys_mem_bytes = 64 * gbench::kMb;
-  config.kernel_reserved_bytes = 16 * gbench::kMb;
-  config.num_disks = 2;
-  Machine machine(PlatformProfile::Linux22(), config, /*machine_id=*/0, /*seed=*/0x10AD);
-  graysim::Os& os = machine.os();
-  const graysim::Pid pid = os.default_pid();
-  (void)graywork::MakeFile(os, pid, "/d0/sort_in", 256 * 1024);
-  (void)graywork::MakeFileSet(os, pid, "/d1/src", 4, 64 * 1024);
-  (void)graywork::MakeFileSet(os, pid, "/d0/age", 4, 32 * 1024);
+  Machine machine(PlatformProfile::Linux22(), ServiceShape(), /*machine_id=*/0,
+                  /*seed=*/0x10AD);
+  Populate(machine.os());
   const MachineImage image = machine.Snapshot();
 
   constexpr int kIters = 100;
@@ -403,6 +461,7 @@ int main() {
   Report(json, "stat_path", BenchStatPath());
 
   BenchSnapshotFork(json);
+  BenchMachineAllocs(json);
   if (!BenchImageCodec(json)) {
     return 1;
   }

@@ -14,8 +14,16 @@ baseline value. Host wall times are compared with the same factor, but only
 when the baseline run took at least 0.2 s (sub-100ms timings are noise on a
 shared CI runner). The gate is deliberately loose — 5x — because CI
 machines vary wildly; it exists to catch gross regressions (an accidental
-O(n^2), a reintroduced per-op allocation storm), not small ones. Tight
-tracking happens through the committed results/ JSONs reviewed in PRs.
+O(n^2)), not small ones. Tight tracking happens through the committed
+results/ JSONs reviewed in PRs.
+
+Metrics with unit "allocs" (heap allocation counts, such as
+micro_datastructures' machine_new_allocs and fsync_allocs_per_op) are
+ceiling-gated multiplicatively: fresh must be at most
+baseline * (1 + ALLOC_SLACK). A count is exact and does not depend on the
+machine, so this is what catches a reintroduced per-op allocation storm;
+the slack absorbs a standard library that sizes its containers
+differently. A baseline of 0 allows none.
 
 Metrics with unit "retained" (the robustness matrix's interference-
 retention ratios) are gated additively instead: fresh must be at least
@@ -80,6 +88,9 @@ import argparse
 import json
 import pathlib
 import sys
+
+# Slack of the "allocs" ceiling (see the module docstring).
+ALLOC_SLACK = 0.10
 
 
 def load(path: pathlib.Path) -> dict:
@@ -189,17 +200,19 @@ def main(argv=None) -> int:
             if fresh_abs[name] > ceiling:
                 failures.append(f"{base_path.name}:{name}")
 
-        base_lat = unit_metrics(base, "latency_ns")
-        fresh_lat = unit_metrics(fresh, "latency_ns")
-        for name in sorted(base_lat.keys() & fresh_lat.keys()):
-            compared += 1
-            ceiling = base_lat[name] * (1.0 + args.latency_slack)
-            status = "ok" if fresh_lat[name] <= ceiling else "FAIL"
-            print(f"{status:4} {base_path.name}:{name}: "
-                  f"{fresh_lat[name]:.4g} ns vs baseline {base_lat[name]:.4g} "
-                  f"(ceiling {ceiling:.4g})")
-            if fresh_lat[name] > ceiling:
-                failures.append(f"{base_path.name}:{name}")
+        for unit, slack in (("latency_ns", args.latency_slack),
+                            ("allocs", ALLOC_SLACK)):
+            base_mul = unit_metrics(base, unit)
+            fresh_mul = unit_metrics(fresh, unit)
+            for name in sorted(base_mul.keys() & fresh_mul.keys()):
+                compared += 1
+                ceiling = base_mul[name] * (1.0 + slack)
+                status = "ok" if fresh_mul[name] <= ceiling else "FAIL"
+                print(f"{status:4} {base_path.name}:{name}: "
+                      f"{fresh_mul[name]:.6g} {unit} vs baseline "
+                      f"{base_mul[name]:.6g} (ceiling {ceiling:.6g})")
+                if fresh_mul[name] > ceiling:
+                    failures.append(f"{base_path.name}:{name}")
 
         base_good = unit_metrics(base, "goodput")
         fresh_good = unit_metrics(fresh, "goodput")

@@ -6,8 +6,10 @@ Runs under pytest (CI lint job) and plain unittest
 
 The cases pin the gate's load-bearing behaviors: a baseline whose fresh
 JSON is missing must FAIL (not silently skip), the additive floors/ceilings
-bind on the correct side, the multiplicative latency/goodput gates bind on
-the correct side, and --only restricts which baselines are compared.
+bind on the correct side, the multiplicative latency/goodput/allocation
+gates bind on the correct side, --only restricts which baselines are
+compared, and top-level keys other than host_time_s (such as nproc) are
+not gated.
 """
 
 import json
@@ -146,6 +148,49 @@ class CheckPerfTest(unittest.TestCase):
         self.assertEqual(self.run_gate("--goodput-slack=0.10"), 0)  # at floor
         self.write(self.fresh, "load", bench_doc([("goodput_rps", 449.0, "goodput")]))
         self.assertEqual(self.run_gate("--goodput-slack=0.10"), 1)
+
+    # ---- multiplicative allocation ceiling ----
+
+    def test_alloc_count_within_slack_passes(self):
+        self.write(self.baseline, "micro",
+                   bench_doc([("machine_new_allocs", 100.0, "allocs")]))
+        self.write(self.fresh, "micro",
+                   bench_doc([("machine_new_allocs", 110.0, "allocs")]))
+        self.assertEqual(self.run_gate(), 0)  # at ceiling
+        self.write(self.fresh, "micro",
+                   bench_doc([("machine_new_allocs", 40.0, "allocs")]))
+        self.assertEqual(self.run_gate(), 0)  # fewer is always fine
+
+    def test_alloc_count_past_slack_fails(self):
+        self.write(self.baseline, "micro",
+                   bench_doc([("machine_new_allocs", 100.0, "allocs")]))
+        self.write(self.fresh, "micro",
+                   bench_doc([("machine_new_allocs", 111.0, "allocs")]))
+        self.assertEqual(self.run_gate(), 1)
+
+    def test_alloc_free_baseline_allows_no_allocation(self):
+        self.write(self.baseline, "micro",
+                   bench_doc([("fsync_allocs_per_op", 0.0, "allocs")]))
+        self.write(self.fresh, "micro",
+                   bench_doc([("fsync_allocs_per_op", 0.0, "allocs")]))
+        self.assertEqual(self.run_gate(), 0)
+        self.write(self.fresh, "micro",
+                   bench_doc([("fsync_allocs_per_op", 0.01, "allocs")]))
+        self.assertEqual(self.run_gate(), 1)
+
+    # ---- top-level keys ----
+
+    def test_nproc_is_not_gated(self):
+        base = bench_doc([("t", 100.0, "ops/s")])
+        base["nproc"] = 64
+        fresh = bench_doc([("t", 100.0, "ops/s")])
+        fresh["nproc"] = 1
+        self.write(self.baseline, "alpha", base)
+        self.write(self.fresh, "alpha", fresh)
+        self.assertEqual(self.run_gate(), 0)
+        del fresh["nproc"]  # a baseline key the fresh run lacks is ignored too
+        self.write(self.fresh, "alpha", fresh)
+        self.assertEqual(self.run_gate(), 0)
 
     # ---- host_time_s factor gate ----
 

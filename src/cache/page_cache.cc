@@ -156,31 +156,31 @@ void PageCache::DropAll(std::vector<std::pair<Inum, std::uint64_t>>* dirty_dropp
   dirty_order_.Clear();
 }
 
-std::vector<std::pair<Inum, std::uint64_t>> PageCache::TakeOldestDirty(
-    std::uint64_t max_pages) {
-  std::vector<std::pair<Inum, std::uint64_t>> result;
-  while (!dirty_order_.empty() && result.size() < max_pages) {
+void PageCache::TakeOldestDirty(std::uint64_t max_pages,
+                                std::vector<std::pair<Inum, std::uint64_t>>* out) {
+  for (std::uint64_t taken = 0; !dirty_order_.empty() && taken < max_pages; ++taken) {
     const FrameId ref = dirty_order_.front();
-    result.emplace_back(static_cast<Inum>(mem_->frames().key1(ref)),
-                        mem_->frames().key2(ref));
+    out->emplace_back(static_cast<Inum>(mem_->frames().key1(ref)), mem_->frames().key2(ref));
     ClearDirty(ref);
   }
-  return result;
 }
 
-std::vector<std::uint64_t> PageCache::TakeDirtyOfFile(Inum inum) {
-  std::vector<std::uint64_t> result;
-  FrameId ref = dirty_order_.front();
-  while (ref != kNoFrame) {
-    const FrameId next = DirtyList::Next(mem_->frames(), ref);
-    if (static_cast<Inum>(mem_->frames().key1(ref)) == inum) {
-      result.push_back(mem_->frames().key2(ref));
-      dirty_order_.Remove(mem_->frames(), ref);
-      mem_->MarkClean(ref);
-    }
-    ref = next;
+void PageCache::TakeDirtyOfFile(Inum inum, std::vector<std::pair<Inum, std::uint64_t>>* out) {
+  const FileState* file = files_.Find(inum);
+  if (file == nullptr) {
+    return;  // nothing resident, so nothing dirty
   }
-  return result;
+  if (file->page_span <= dirty_order_.size()) {
+    for (std::uint64_t page = 0; page < file->page_span; ++page) {
+      if (const FrameId* ref = pages_.Find(Key(inum, page));
+          ref != nullptr && mem_->frames().dirty(*ref)) {
+        out->emplace_back(inum, page);
+        ClearDirty(*ref);
+      }
+    }
+    return;
+  }
+  TakeDirtyMatching([inum](Inum owner) { return owner == inum; }, out);
 }
 
 std::uint64_t PageCache::CleanDirtyRunAfter(Inum inum, std::uint64_t page,

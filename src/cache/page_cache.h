@@ -71,20 +71,26 @@ class PageCache {
   // reported through *dirty_dropped so the caller can charge writeback.
   void DropAll(std::vector<std::pair<Inum, std::uint64_t>>* dirty_dropped);
 
-  // Oldest dirty pages, up to `max_pages` (write-behind flushing). Marks
-  // them clean. Returned in dirtying order.
-  [[nodiscard]] std::vector<std::pair<Inum, std::uint64_t>> TakeOldestDirty(
-      std::uint64_t max_pages);
+  // The Take*Dirty calls mark the pages they take clean and append them to
+  // *out, a buffer the caller reuses, so a writeback allocates nothing once
+  // the buffer has grown to its working size.
 
-  // All dirty pages of one file, marked clean (fsync).
-  [[nodiscard]] std::vector<std::uint64_t> TakeDirtyOfFile(Inum inum);
+  // Oldest dirty pages, up to `max_pages`, in dirtying order (write-behind
+  // flushing).
+  void TakeOldestDirty(std::uint64_t max_pages,
+                       std::vector<std::pair<Inum, std::uint64_t>>* out);
 
-  // All dirty pages whose (disk-tagged) inum satisfies `pred`, marked clean
-  // (syncfs). Returned in dirtying order so writeback submission preserves
-  // the write-order model.
+  // All dirty pages of one file (fsync), in no particular order. Costs the
+  // smaller of the file's page span and the dirty chain's length, not the
+  // machine's dirty pages: the span is walked by key lookup when it is the
+  // shorter. Taking a set of frames off the intrusive chain leaves the same
+  // chain whatever order they come off in.
+  void TakeDirtyOfFile(Inum inum, std::vector<std::pair<Inum, std::uint64_t>>* out);
+
+  // All dirty pages whose (disk-tagged) inum satisfies `pred` (syncfs), in
+  // dirtying order.
   template <typename Pred>
-  [[nodiscard]] std::vector<std::pair<Inum, std::uint64_t>> TakeDirtyMatching(Pred&& pred) {
-    std::vector<std::pair<Inum, std::uint64_t>> out;
+  void TakeDirtyMatching(Pred&& pred, std::vector<std::pair<Inum, std::uint64_t>>* out) {
     const FrameTable& frames = mem_->frames();
     FrameId f = dirty_order_.front();
     while (f != kNoFrame) {
@@ -92,12 +98,11 @@ class PageCache {
       const Page page = frames.PageOf(f);
       const Inum inum = static_cast<Inum>(page.key1);
       if (pred(inum)) {
-        out.emplace_back(inum, page.key2);
+        out->emplace_back(inum, page.key2);
         ClearDirty(f);
       }
       f = next;
     }
-    return out;
   }
 
   // Marks clean (and returns the count of) the resident dirty pages

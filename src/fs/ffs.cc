@@ -99,11 +99,11 @@ FsErr Ffs::ResolveInum(std::string_view path, Inum* out) const {
     if (!node->is_dir) {
       return FsErr::kNotDir;
     }
-    const auto it = node->children.find(comp);
-    if (it == node->children.end()) {
+    const Child* child = FindChild(*node, comp);
+    if (child == nullptr) {
       return FsErr::kNotFound;
     }
-    cur = it->second;
+    cur = child->inum;
   }
   *out = cur;
   return FsErr::kOk;
@@ -120,11 +120,11 @@ FsErr Ffs::ResolveParent(std::string_view path, Inum* parent, std::string_view* 
     if (node == nullptr || !node->is_dir) {
       return FsErr::kNotDir;
     }
-    const auto it = node->children.find(comp);
-    if (it == node->children.end()) {
+    const Child* child = FindChild(*node, comp);
+    if (child == nullptr) {
       return FsErr::kNotFound;
     }
-    cur = it->second;
+    cur = child->inum;
     comp = next;
   }
   const Inode* pnode = Get(cur);
@@ -204,6 +204,85 @@ Ffs::Inode& Ffs::InodeTable::Add(Inum inum) {
   }
   record_of.Put(inum, index);
   return records[index];
+}
+
+// --- directory index ---
+
+namespace {
+
+constexpr std::uint64_t kPosMask = 0xFFFFFFFFULL;
+
+std::uint64_t NameHash(std::string_view name) {
+  return std::hash<std::string_view>{}(name) >> 32;
+}
+
+// The slot for entry `pos` whose name hashes to `hash`.
+std::uint64_t IndexSlot(std::uint64_t hash, std::size_t pos) {
+  return (hash << 32) | (static_cast<std::uint64_t>(pos) + 1);
+}
+
+// Places `slot` in the first empty position of its probe sequence.
+void Place(std::vector<std::uint64_t>& index, std::uint64_t slot) {
+  const std::size_t mask = index.size() - 1;
+  std::size_t i = static_cast<std::size_t>(slot >> 32) & mask;
+  while (index[i] != 0) {
+    i = (i + 1) & mask;
+  }
+  index[i] = slot;
+}
+
+}  // namespace
+
+const Ffs::Child* Ffs::FindChild(const Inode& dir, std::string_view name) {
+  if (dir.index.empty()) {
+    return nullptr;
+  }
+  const std::uint64_t hash = NameHash(name);
+  const std::size_t mask = dir.index.size() - 1;
+  for (std::size_t i = static_cast<std::size_t>(hash) & mask; dir.index[i] != 0;
+       i = (i + 1) & mask) {
+    const std::uint64_t slot = dir.index[i];
+    if ((slot >> 32) == hash) {
+      const Child& c = dir.entries[(slot & kPosMask) - 1];
+      if (c.name == name) {
+        return &c;
+      }
+    }
+  }
+  return nullptr;
+}
+
+void Ffs::AddChild(Inode& dir, std::string_view name, Inum inum) {
+  dir.entries.push_back(Child{std::string(name), inum});
+  if (dir.entries.size() * 2 > dir.index.size()) {
+    (void)IndexChildren(dir);  // grows the table; names are unique here
+    return;
+  }
+  Place(dir.index, IndexSlot(NameHash(name), dir.entries.size() - 1));
+}
+
+void Ffs::RemoveChild(Inode& dir, std::string_view name) {
+  const Child* child = FindChild(dir, name);
+  assert(child != nullptr);
+  // Entries after the removed one move down a place: rebuild the index.
+  dir.entries.erase(dir.entries.begin() + (child - dir.entries.data()));
+  (void)IndexChildren(dir);  // names stay unique
+}
+
+bool Ffs::IndexChildren(Inode& dir) {
+  std::size_t size = 8;
+  while (size < dir.entries.size() * 2) {
+    size *= 2;
+  }
+  dir.index.assign(dir.entries.empty() ? 0 : size, 0);
+  for (std::size_t pos = 0; pos < dir.entries.size(); ++pos) {
+    const std::string_view name = dir.entries[pos].name;
+    if (FindChild(dir, name) != nullptr) {
+      return false;
+    }
+    Place(dir.index, IndexSlot(NameHash(name), pos));
+  }
+  return true;
 }
 
 // --- block allocation ---
@@ -334,17 +413,16 @@ FsErr Ffs::Create(std::string_view path, Inum* out) {
     return err;
   }
   Inode* pnode = Get(parent);
-  if (pnode->children.contains(leaf)) {
+  if (FindChild(*pnode, leaf) != nullptr) {
     return FsErr::kExists;
   }
   const Inum inum = AllocInode(pnode->cg, /*is_dir=*/false);
   if (inum == kInvalidInum) {
     return FsErr::kNoSpace;
   }
-  pnode = Get(parent);  // AllocInode may not invalidate, but be safe
-  pnode->children.emplace(leaf, inum);
-  pnode->entries.push_back(Child{std::string(leaf), inum});
-  pnode->size = pnode->children.size() * 64;
+  pnode = Get(parent);  // AllocInode may grow the record slab
+  AddChild(*pnode, leaf, inum);
+  pnode->size = pnode->entries.size() * 64;
   pnode->mtime = now_hint_;
   if (out != nullptr) {
     *out = inum;
@@ -359,7 +437,7 @@ FsErr Ffs::Mkdir(std::string_view path, Inum* out) {
     return err;
   }
   Inode* pnode = Get(parent);
-  if (pnode->children.contains(leaf)) {
+  if (FindChild(*pnode, leaf) != nullptr) {
     return FsErr::kExists;
   }
   const Inum inum = AllocInode(PickDirCg(), /*is_dir=*/true);
@@ -367,9 +445,8 @@ FsErr Ffs::Mkdir(std::string_view path, Inum* out) {
     return FsErr::kNoSpace;
   }
   pnode = Get(parent);
-  pnode->children.emplace(leaf, inum);
-  pnode->entries.push_back(Child{std::string(leaf), inum});
-  pnode->size = pnode->children.size() * 64;
+  AddChild(*pnode, leaf, inum);
+  pnode->size = pnode->entries.size() * 64;
   pnode->mtime = now_hint_;
   if (out != nullptr) {
     *out = inum;
@@ -377,25 +454,26 @@ FsErr Ffs::Mkdir(std::string_view path, Inum* out) {
   return FsErr::kOk;
 }
 
-FsErr Ffs::Unlink(std::string_view path) {
+FsErr Ffs::Unlink(std::string_view path, Inum* freed) {
   Inum parent = kInvalidInum;
   std::string_view leaf;
   if (const FsErr err = ResolveParent(path, &parent, &leaf); err != FsErr::kOk) {
     return err;
   }
   Inode* pnode = Get(parent);
-  const auto it = pnode->children.find(leaf);
-  if (it == pnode->children.end()) {
+  const Child* child = FindChild(*pnode, leaf);
+  if (child == nullptr) {
     return FsErr::kNotFound;
   }
-  const Inode* node = Get(it->second);
-  if (node->is_dir) {
+  if (Get(child->inum)->is_dir) {
     return FsErr::kIsDir;
   }
-  FreeInode(it->second);
-  pnode->children.erase(it);
-  std::erase_if(pnode->entries, [leaf](const Child& c) { return c.name == leaf; });
-  pnode->size = pnode->children.size() * 64;
+  if (freed != nullptr) {
+    *freed = child->inum;
+  }
+  FreeInode(child->inum);
+  RemoveChild(*pnode, leaf);
+  pnode->size = pnode->entries.size() * 64;
   pnode->mtime = now_hint_;
   return FsErr::kOk;
 }
@@ -407,75 +485,94 @@ FsErr Ffs::Rmdir(std::string_view path) {
     return err;
   }
   Inode* pnode = Get(parent);
-  const auto it = pnode->children.find(leaf);
-  if (it == pnode->children.end()) {
+  const Child* child = FindChild(*pnode, leaf);
+  if (child == nullptr) {
     return FsErr::kNotFound;
   }
-  const Inode* node = Get(it->second);
+  const Inode* node = Get(child->inum);
   if (!node->is_dir) {
     return FsErr::kNotDir;
   }
-  if (!node->children.empty()) {
+  if (!node->entries.empty()) {
     return FsErr::kNotEmpty;
   }
-  FreeInode(it->second);
-  pnode->children.erase(it);
-  std::erase_if(pnode->entries, [leaf](const Child& c) { return c.name == leaf; });
-  pnode->size = pnode->children.size() * 64;
+  FreeInode(child->inum);
+  RemoveChild(*pnode, leaf);
+  pnode->size = pnode->entries.size() * 64;
   pnode->mtime = now_hint_;
   return FsErr::kOk;
 }
 
-FsErr Ffs::Rename(std::string_view from, std::string_view to) {
-  Inum from_parent = kInvalidInum;
-  Inum to_parent = kInvalidInum;
-  std::string_view from_leaf;
-  std::string_view to_leaf;
-  if (const FsErr err = ResolveParent(from, &from_parent, &from_leaf); err != FsErr::kOk) {
+FsErr Ffs::PlanRename(std::string_view from, std::string_view to, RenamePlan* plan) const {
+  if (const FsErr err = ResolveParent(from, &plan->from_parent, &plan->from_leaf);
+      err != FsErr::kOk) {
     return err;
   }
-  if (const FsErr err = ResolveParent(to, &to_parent, &to_leaf); err != FsErr::kOk) {
+  if (const FsErr err = ResolveParent(to, &plan->to_parent, &plan->to_leaf); err != FsErr::kOk) {
     return err;
   }
-  Inode* fp = Get(from_parent);
-  const auto it = fp->children.find(from_leaf);
-  if (it == fp->children.end()) {
+  const Child* from_child = FindChild(*Get(plan->from_parent), plan->from_leaf);
+  if (from_child == nullptr) {
     return FsErr::kNotFound;
   }
-  const Inum moving = it->second;
-  Inode* tp = Get(to_parent);
-  const auto existing = tp->children.find(to_leaf);
-  if (existing != tp->children.end() && existing->second == moving) {
+  plan->moving = from_child->inum;
+  const Child* existing = FindChild(*Get(plan->to_parent), plan->to_leaf);
+  plan->replaced = existing == nullptr ? kInvalidInum : existing->inum;
+  if (plan->replaced == plan->moving) {
     return FsErr::kOk;  // POSIX: renaming a file onto itself does nothing
   }
   // A directory moved beneath itself would leave the tree as a cycle. A
   // directory has exactly one name, so `to` lies beneath it exactly when
   // `from` spells a prefix of `to`.
-  if (Get(moving)->is_dir && IsWithin(to, from)) {
+  const Inode* source = Get(plan->moving);
+  if (source->is_dir && IsWithin(to, from)) {
     return FsErr::kInvalid;
   }
-  if (existing != tp->children.end()) {
+  if (existing != nullptr) {
     // POSIX rename over an existing file replaces it (files only).
-    const Inode* target = Get(existing->second);
-    const Inode* source = Get(moving);
+    const Inode* target = Get(plan->replaced);
     if (target->is_dir != source->is_dir) {
       return target->is_dir ? FsErr::kIsDir : FsErr::kNotDir;
     }
-    if (target->is_dir && !target->children.empty()) {
+    if (target->is_dir && !target->entries.empty()) {
       return FsErr::kNotEmpty;
     }
-    FreeInode(existing->second);
-    tp->children.erase(existing);
-    std::erase_if(tp->entries, [to_leaf](const Child& c) { return c.name == to_leaf; });
   }
-  fp->children.erase(it);
-  std::erase_if(fp->entries, [from_leaf](const Child& c) { return c.name == from_leaf; });
-  fp->size = fp->children.size() * 64;
-  fp->mtime = now_hint_;
-  tp->children.emplace(to_leaf, moving);
-  tp->entries.push_back(Child{std::string(to_leaf), moving});
-  tp->size = tp->children.size() * 64;
-  tp->mtime = now_hint_;
+  return FsErr::kOk;
+}
+
+Inum Ffs::RenameReplaces(std::string_view from, std::string_view to) const {
+  RenamePlan plan;
+  if (PlanRename(from, to, &plan) != FsErr::kOk || plan.replaced == plan.moving) {
+    return kInvalidInum;
+  }
+  return plan.replaced;
+}
+
+FsErr Ffs::Rename(std::string_view from, std::string_view to, Inum* freed) {
+  RenamePlan plan;
+  if (const FsErr err = PlanRename(from, to, &plan); err != FsErr::kOk) {
+    return err;
+  }
+  if (plan.replaced == plan.moving) {
+    plan.replaced = kInvalidInum;  // onto itself: nothing to do
+  } else {
+    Inode* tp = Get(plan.to_parent);
+    if (plan.replaced != kInvalidInum) {
+      FreeInode(plan.replaced);
+      RemoveChild(*tp, plan.to_leaf);
+    }
+    Inode* fp = Get(plan.from_parent);
+    RemoveChild(*fp, plan.from_leaf);
+    fp->size = fp->entries.size() * 64;
+    fp->mtime = now_hint_;
+    AddChild(*tp, plan.to_leaf, plan.moving);
+    tp->size = tp->entries.size() * 64;
+    tp->mtime = now_hint_;
+  }
+  if (freed != nullptr) {
+    *freed = plan.replaced;
+  }
   return FsErr::kOk;
 }
 
@@ -547,6 +644,14 @@ FsErr Ffs::Resize(Inum inum, std::uint64_t new_size, Nanos now) {
   }
   const std::uint64_t bs = params_.block_size;
   const std::uint64_t want_blocks = (new_size + bs - 1) / bs;
+  // Size the list once per call, not once per block. Growth stays geometric
+  // so a file grown a little at a time still appends in amortized O(1), and
+  // is capped at what the free blocks can supply.
+  const std::uint64_t reachable =
+      std::min(want_blocks, node->blocks.size() + free_data_blocks_);
+  if (reachable > node->blocks.capacity()) {
+    node->blocks.reserve(std::max<std::uint64_t>(reachable, 2 * node->blocks.capacity()));
+  }
   while (node->blocks.size() < want_blocks) {
     const std::uint64_t prev = node->blocks.empty() ? 0 : node->blocks.back();
     const std::uint64_t b = AllocBlock(*node, prev);
@@ -595,7 +700,7 @@ FsErr Ffs::DirBlocks(Inum dir_inum, std::uint64_t* first, std::uint64_t* count) 
   }
   // Directory entries are modeled as living in the group's inode-table
   // region alongside the inode (one block per 64 entries).
-  const std::uint64_t entry_bytes = node->children.size() * 64;
+  const std::uint64_t entry_bytes = node->entries.size() * 64;
   *first = InodeBlockOf(dir_inum);
   *count = std::max<std::uint64_t>(1, (entry_bytes + params_.block_size - 1) / params_.block_size);
   return FsErr::kOk;
@@ -632,6 +737,10 @@ std::uint64_t Ffs::creation_seq_of(Inum inum) const {
 
 void Codec<Bitmap>::Put(ByteWriter& w, const Bitmap& b) {
   w.U64(b.size_);
+  if (b.words_.empty()) {
+    w.Fill(0, (b.size_ + 7) / 8);
+    return;
+  }
   const std::size_t full = b.size_ / 64;
   w.U64s(b.words_.data(), full);
   // Of a partial last word, only the bytes that hold bits below size().
@@ -644,21 +753,35 @@ void Codec<Bitmap>::Get(ByteReader& r, Bitmap& b) {
   const std::uint64_t n = r.Count(0);
   // The byte count, rounded up without computing n + 7, which wraps for a
   // crafted n near 2^64.
-  if (!r.ok() || n / 8 + (n % 8 != 0 ? 1 : 0) > r.remaining()) {
+  const std::uint64_t nbytes = n / 8 + (n % 8 != 0 ? 1 : 0);
+  if (!r.ok() || nbytes > r.remaining()) {
     r.Fail();
     return;
   }
+  const std::uint8_t* bytes = r.Take(static_cast<std::size_t>(nbytes));
   b.Reset(static_cast<std::size_t>(n));
   const std::size_t full = b.size_ / 64;
-  if (!r.U64s(b.words_.data(), full)) {
-    return;
-  }
   const std::size_t tail = b.size_ % 64;
+  std::uint64_t last = 0;  // the partial last word
+  for (std::size_t i = 0; i < (tail + 7) / 8; ++i) {
+    last |= static_cast<std::uint64_t>(bytes[8 * full + i]) << (8 * i);
+  }
   if (tail != 0) {
-    for (std::size_t i = 0; i < (tail + 7) / 8; ++i) {
-      b.words_[full] |= static_cast<std::uint64_t>(r.U8()) << (8 * i);
-    }
-    b.words_[full] &= (std::uint64_t{1} << tail) - 1;  // padding bits read as clear
+    last &= (std::uint64_t{1} << tail) - 1;  // padding bits read as clear
+  }
+  std::uint64_t any = last;
+  for (std::size_t i = 0; i < full; ++i) {
+    any |= byte_io_internal::LoadLe64(bytes + 8 * i);
+  }
+  if (any == 0) {
+    return;  // no bit set: the bitmap stays without words
+  }
+  b.words_.assign((b.size_ + 63) / 64, 0);
+  for (std::size_t i = 0; i < full; ++i) {
+    b.words_[i] = byte_io_internal::LoadLe64(bytes + 8 * i);
+  }
+  if (tail != 0) {
+    b.words_[full] = last;
   }
 }
 
@@ -694,8 +817,9 @@ void Codec<Ffs::InodeTable>::Get(ByteReader& r, Ffs::InodeTable& t) {
     }
     Ffs::Inode& ino = t.Add(static_cast<Inum>(slot));
     r.Get(ino);
-    for (const Ffs::Child& c : ino.entries) {
-      ino.children.emplace(c.name, c.inum);
+    if (!Ffs::IndexChildren(ino)) {
+      r.Fail();  // a directory names one entry twice
+      return;
     }
   }
 }

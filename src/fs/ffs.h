@@ -16,7 +16,6 @@
 #define SRC_FS_FFS_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -105,20 +104,31 @@ struct DirEntryInfo {
 
 // A fixed-size bit set held in 64-bit words: a cylinder group's block and
 // inode maps. Bit i is bit i % 64 of word i / 64, and bits at or past size()
-// stay clear. The checkpoint encoding is the bit count, then the bits packed
+// stay clear. A bitmap holds no words until a bit is first set (most groups
+// of a machine are never touched), and an empty word vector reads as all
+// clear. The checkpoint encoding is the bit count, then the bits packed
 // LSB-first into (size + 7) / 8 bytes, which is the little-endian bytes of
-// the words, so it is written and read a word at a time.
+// the words, so it is written and read a word at a time; an untouched
+// bitmap writes zero bytes, and all-zero bytes read back as no words.
 class Bitmap {
  public:
   // `n` bits, all clear.
   void Reset(std::size_t n) {
     size_ = n;
-    words_.assign((n + 63) / 64, 0);
+    words_.clear();
   }
 
   [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] bool Test(std::size_t i) const { return ((words_[i / 64] >> (i % 64)) & 1) != 0; }
+  [[nodiscard]] bool Test(std::size_t i) const {
+    return !words_.empty() && ((words_[i / 64] >> (i % 64)) & 1) != 0;
+  }
   void Set(std::size_t i, bool value) {
+    if (words_.empty()) {
+      if (!value) {
+        return;
+      }
+      words_.assign((size_ + 63) / 64, 0);
+    }
     const std::uint64_t mask = std::uint64_t{1} << (i % 64);
     words_[i / 64] = value ? words_[i / 64] | mask : words_[i / 64] & ~mask;
   }
@@ -151,9 +161,14 @@ class Ffs {
   [[nodiscard]] FsErr Lookup(std::string_view path, Inum* out) const;
   FsErr Create(std::string_view path, Inum* out);
   FsErr Mkdir(std::string_view path, Inum* out);
-  FsErr Unlink(std::string_view path);
+  // Unlink and Rename store in `*freed` (when given) the inode they free:
+  // the unlinked file, or the one a rename replaces (kInvalidInum if none).
+  FsErr Unlink(std::string_view path, Inum* freed = nullptr);
   FsErr Rmdir(std::string_view path);
-  FsErr Rename(std::string_view from, std::string_view to);
+  FsErr Rename(std::string_view from, std::string_view to, Inum* freed = nullptr);
+  // The inode Rename(from, to) would free now, or kInvalidInum when it would
+  // fail or replace nothing.
+  [[nodiscard]] Inum RenameReplaces(std::string_view from, std::string_view to) const;
   [[nodiscard]] FsErr ListDir(std::string_view path, std::vector<DirEntryInfo>* out) const;
 
   // --- inode operations ---
@@ -222,7 +237,8 @@ class Ffs {
                           inodes_.free_records.capacity() * sizeof(std::uint32_t);
     for (const Inode& ino : inodes_.records) {
       bytes += sizeof(Inode) + ino.blocks.capacity() * sizeof(std::uint64_t) +
-               ino.entries.capacity() * sizeof(Child);
+               ino.entries.capacity() * sizeof(Child) +
+               ino.index.capacity() * sizeof(std::uint64_t);
     }
     for (const CylGroup& g : groups_) {
       bytes += sizeof(CylGroup) + g.block_used.capacity_bytes() + g.inode_used.capacity_bytes();
@@ -253,9 +269,14 @@ class Ffs {
     std::vector<std::uint64_t> blocks;  // disk block numbers, one per file block
     // Directory payload (metadata only; timing modeled via DirBlocks()): the
     // entries in creation order, which is readdir order, and a name index
-    // over them that is not checkpointed (a load rebuilds it).
+    // over them that is not checkpointed (a load rebuilds it). The index is
+    // an open-addressed table (linear probing, a power-of-two size at most
+    // half full) whose slots hold the name's 32-bit hash above the entry's
+    // position + 1, and 0 when empty: one array per directory, no node per
+    // entry. A lookup compares the entry's name, so a hash collision costs a
+    // probe, never a wrong answer.
     std::vector<Child> entries;
-    std::map<std::string, Inum, std::less<>> children;
+    std::vector<std::uint64_t> index;
 
     template <class S, class V>
     static constexpr void VisitFields(S& s, V&& v) {
@@ -317,6 +338,20 @@ class Ffs {
                                     std::string_view* leaf) const;
   [[nodiscard]] FsErr ResolveInum(std::string_view path, Inum* out) const;
 
+  // What Rename(from, to) would do now. `replaced` is the inode `to` names,
+  // which the rename frees (kInvalidInum if none); it equals `moving` for a
+  // rename onto itself, which changes nothing.
+  struct RenamePlan {
+    Inum from_parent = kInvalidInum;
+    Inum to_parent = kInvalidInum;
+    std::string_view from_leaf;
+    std::string_view to_leaf;
+    Inum moving = kInvalidInum;
+    Inum replaced = kInvalidInum;
+  };
+  [[nodiscard]] FsErr PlanRename(std::string_view from, std::string_view to,
+                                 RenamePlan* plan) const;
+
   // The live inode `inum`, or null when it is out of range or free.
   [[nodiscard]] const Inode* Get(Inum inum) const;
   [[nodiscard]] Inode* Get(Inum inum);
@@ -327,8 +362,17 @@ class Ffs {
   // held across the call.
   [[nodiscard]] Inum AllocInode(std::uint32_t cg_hint, bool is_dir);
   // Frees the inode and its blocks. Moves no other live record, so parent
-  // pointers and `children` iterators held across it stay valid.
+  // pointers held across it stay valid.
   void FreeInode(Inum inum);
+
+  // Directory entries by name, through the index. FindChild returns null
+  // when `name` is absent; the pointer is valid until `dir` changes.
+  // RemoveChild requires `name` to be present. IndexChildren rebuilds the
+  // index from `entries` and returns false if a name repeats.
+  [[nodiscard]] static const Child* FindChild(const Inode& dir, std::string_view name);
+  static void AddChild(Inode& dir, std::string_view name, Inum inum);
+  static void RemoveChild(Inode& dir, std::string_view name);
+  static bool IndexChildren(Inode& dir);
 
   // Allocates one data block for `inode`; `prev` is the previous block of
   // the file (contiguity preference) or 0 for the first block.

@@ -752,20 +752,29 @@ void Os::RunProcesses(const std::vector<std::function<void(Pid)>>& bodies) {
   for (std::size_t i = 0; i < bodies.size(); ++i) {
     sched_slots_[pids[i]] = static_cast<int>(i);
   }
+  // Each wrapper captures one pointer and an index, which std::function
+  // holds inline, so starting a process allocates no closure.
+  struct RunContext {
+    Os* os;
+    const std::vector<std::function<void(Pid)>>* bodies;
+    const std::vector<Pid>* pids;
+  };
+  const RunContext run{this, &bodies, &pids};
   std::vector<std::function<void(int)>> wrapped;
   wrapped.reserve(bodies.size());
   for (std::size_t i = 0; i < bodies.size(); ++i) {
-    wrapped.push_back([this, &bodies, &pids, i](int) {
+    wrapped.push_back([r = &run, i](int) {
+      const Pid pid = (*r->pids)[i];
       try {
-        bodies[i](pids[i]);
+        (*r->bodies)[i](pid);
       } catch (const CrashUnwind&) {
         // Crash-stop: this fiber's stack dies here. Destructors already ran
         // during the unwind; fall through to release so the host-side
         // process bookkeeping (anon memory, fds) dies with it.
       }
       // Process exit: release anonymous memory and fd table.
-      vm_.ReleaseProcess(pids[i]);
-      fd_tables_[pids[i]].clear();
+      r->os->vm_.ReleaseProcess(pid);
+      r->os->fd_tables_[pid].clear();
     });
   }
   in_scheduler_run_ = true;
@@ -1161,12 +1170,9 @@ int Os::Fsync(Pid pid, int fd) {
   if (e == nullptr) {
     return ToErr(FsErr::kInvalid);
   }
-  const Inum tagged = Tag(e->disk, e->inum);
-  std::vector<std::pair<Inum, std::uint64_t>> pages;
-  for (const std::uint64_t p : cache_.TakeDirtyOfFile(tagged)) {
-    pages.emplace_back(tagged, p);
-  }
-  Nanos done = SubmitWritebackRuns(std::move(pages));
+  writeback_pages_.clear();
+  cache_.TakeDirtyOfFile(Tag(e->disk, e->inum), &writeback_pages_);
+  Nanos done = SubmitWritebackRuns(writeback_pages_);
   // fsync also covers writes the flusher already has in flight for this
   // file; FCFS queues mean waiting for the device drain is sufficient.
   done = std::max(done, disk_queues_[e->disk]->busy_until());
@@ -1182,10 +1188,11 @@ int Os::Syncfs(Pid pid, int disk) {
     return ToErr(FsErr::kInvalid);
   }
   // Everything dirty on this disk — file data AND metadata (fsync skips
-  // the latter; a checkpoint barrier cannot). Dirtying order is preserved
-  // by TakeDirtyMatching, so submission respects the write-order model.
-  Nanos done = SubmitWritebackRuns(cache_.TakeDirtyMatching(
-      [disk](Inum inum) { return DiskOfInum(inum) == disk; }));
+  // the latter; a checkpoint barrier cannot).
+  writeback_pages_.clear();
+  cache_.TakeDirtyMatching([disk](Inum inum) { return DiskOfInum(inum) == disk; },
+                           &writeback_pages_);
+  Nanos done = SubmitWritebackRuns(writeback_pages_);
   done = std::max(done, disk_queues_[disk]->busy_until());
   WaitUntil(pid, done);
   return 0;
@@ -1373,13 +1380,14 @@ int Os::Unlink(Pid pid, std::string_view path) {
     return ToErr(err);
   }
   ChargeWalk(pid, ref);
-  cache_.DropFile(Tag(ref.disk, inum));
-  InvalidateInflight(Tag(ref.disk, inum), 0);
-  const std::uint64_t inode_block = f.InodeBlockOf(inum);
-  if (const FsErr err = f.Unlink(ref.sub); err != FsErr::kOk) {
+  // The walk may have blocked while another process renamed or unlinked
+  // part of the path: drop the pages of the inode the unlink frees.
+  if (const FsErr err = f.Unlink(ref.sub, &inum); err != FsErr::kOk) {
     return ToErr(err);
   }
-  MetaDirty(pid, ref.disk, inode_block);
+  cache_.DropFile(Tag(ref.disk, inum));
+  InvalidateInflight(Tag(ref.disk, inum), 0);
+  MetaDirty(pid, ref.disk, f.InodeBlockOf(inum));
   return 0;
 }
 
@@ -1434,18 +1442,26 @@ int Os::Rename(Pid pid, std::string_view from, std::string_view to) {
   }
   Ffs& f = *filesystems_[rfrom.disk];
   f.set_clock_hint(clock_.now());
-  // If the rename replaces an existing file, drop its pages. rename(p, p)
-  // replaces nothing: the "existing" file is the one being moved.
-  Inum existing = kInvalidInum;
-  Inum moving = kInvalidInum;
-  if (f.Lookup(rto.sub, &existing) == FsErr::kOk &&
-      (f.Lookup(rfrom.sub, &moving) != FsErr::kOk || moving != existing)) {
-    cache_.DropFile(Tag(rto.disk, existing));
-    InvalidateInflight(Tag(rto.disk, existing), 0);
+  // A rename that will replace a file drops the file's pages before the
+  // walk, whose metadata reads then find its frames free (a replaced empty
+  // directory has none). A rename that will fail, or that replaces nothing,
+  // keeps them.
+  const Inum doomed = f.RenameReplaces(rfrom.sub, rto.sub);
+  if (doomed != kInvalidInum) {
+    cache_.DropFile(Tag(rto.disk, doomed));
+    InvalidateInflight(Tag(rto.disk, doomed), 0);
   }
   ChargeWalk(pid, rfrom);
-  if (const FsErr err = f.Rename(rfrom.sub, rto.sub); err != FsErr::kOk) {
+  // The walk may have blocked while another process changed either path or
+  // cached pages of the target: drop the pages of the inode the rename
+  // frees. Uncontended, the drop above left none.
+  Inum freed = kInvalidInum;
+  if (const FsErr err = f.Rename(rfrom.sub, rto.sub, &freed); err != FsErr::kOk) {
     return ToErr(err);
+  }
+  if (freed != kInvalidInum) {
+    cache_.DropFile(Tag(rto.disk, freed));
+    InvalidateInflight(Tag(rto.disk, freed), 0);
   }
   Inum moved = kInvalidInum;
   if (f.Lookup(rto.sub, &moved) == FsErr::kOk) {
@@ -1566,7 +1582,9 @@ void Os::FlushDaemonRun() {
   trace_.Begin(obs::kTrackFlushDaemon, "flush", clock_.now());
   const std::uint64_t target = dirty_limit_pages_ / 2;
   const std::uint64_t excess = cache_.dirty_pages() - target;
-  (void)SubmitWritebackRuns(cache_.TakeOldestDirty(excess));
+  writeback_pages_.clear();
+  cache_.TakeOldestDirty(excess, &writeback_pages_);
+  (void)SubmitWritebackRuns(writeback_pages_);
   trace_.End(obs::kTrackFlushDaemon, "flush", clock_.now());
 }
 
@@ -1604,18 +1622,20 @@ void Os::PageDaemonRun() {
                      [this] { PageDaemonRun(); }, Desc(EventKind::kPageDaemon));
 }
 
-Nanos Os::SubmitWritebackRuns(std::vector<std::pair<Inum, std::uint64_t>> pages) {
+Nanos Os::SubmitWritebackRuns(std::span<const std::pair<Inum, std::uint64_t>> pages) {
   if (pages.empty()) {
     return 0;
   }
+  // The device submissions below call only the disk's jitter and
+  // service-scale hooks and ScheduleAt, never back into writeback, so the
+  // scratch targets are not overwritten while the loop reads them.
+  assert(!in_writeback_);
+  in_writeback_ = true;
   // Map to (disk, disk block), sort, and coalesce contiguous runs so each
-  // run goes to the device as one request.
-  struct Target {
-    int disk;
-    std::uint64_t block;
-  };
-  std::vector<Target> targets;
-  targets.reserve(pages.size());
+  // run goes to the device as one request. A target is nothing but its
+  // sort key, so the submissions do not depend on the order of `pages`.
+  std::vector<WritebackTarget>& targets = writeback_targets_;
+  targets.clear();
   for (const auto& [tagged, page] : pages) {
     const int disk = DiskOfInum(tagged);
     std::uint64_t block = page;
@@ -1624,11 +1644,12 @@ Nanos Os::SubmitWritebackRuns(std::vector<std::pair<Inum, std::uint64_t>> pages)
         continue;  // truncated/unlinked since dirtying
       }
     }
-    targets.push_back(Target{disk, block});
+    targets.push_back(WritebackTarget{disk, block});
   }
-  std::sort(targets.begin(), targets.end(), [](const Target& a, const Target& b) {
-    return a.disk != b.disk ? a.disk < b.disk : a.block < b.block;
-  });
+  std::sort(targets.begin(), targets.end(),
+            [](const WritebackTarget& a, const WritebackTarget& b) {
+              return a.disk != b.disk ? a.disk < b.disk : a.block < b.block;
+            });
   Nanos done = 0;
   std::size_t i = 0;
   while (i < targets.size()) {
@@ -1642,6 +1663,7 @@ Nanos Os::SubmitWritebackRuns(std::vector<std::pair<Inum, std::uint64_t>> pages)
                                        /*is_write=*/true, nullptr));
     i = j;
   }
+  in_writeback_ = false;
   return done;
 }
 

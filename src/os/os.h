@@ -454,7 +454,7 @@ class Os : private EvictionHandler {
   // Maps dirty pages to disk blocks, coalesces contiguous runs, and submits
   // them as background writes. Returns the last completion time (0 if
   // nothing was submitted).
-  Nanos SubmitWritebackRuns(std::vector<std::pair<Inum, std::uint64_t>> pages);
+  Nanos SubmitWritebackRuns(std::span<const std::pair<Inum, std::uint64_t>> pages);
 
   // Page-cache keys tag the fs-local inum with its disk so files on
   // different disks never collide: tagged = (disk << 24) | inum. The top of
@@ -540,6 +540,17 @@ class Os : private EvictionHandler {
   std::vector<int> sched_slots_;
   FlatMap<InflightRead> inflight_reads_;  // PageKey -> fill
   std::uint64_t next_read_token_ = 1;
+  // Writeback scratch, reused by Fsync, Syncfs and the flush daemon so a
+  // writeback allocates nothing once the buffers reach the machine's working
+  // size: the dirty pages taken, and their disk targets. in_writeback_ backs
+  // the assertion that SubmitWritebackRuns is never re-entered.
+  struct WritebackTarget {
+    int disk;
+    std::uint64_t block;
+  };
+  std::vector<std::pair<Inum, std::uint64_t>> writeback_pages_;
+  std::vector<WritebackTarget> writeback_targets_;
+  bool in_writeback_ = false;
   // Completion time of eviction I/O submitted by the current foreground
   // operation; consumed by DrainDirectReclaim.
   Nanos direct_reclaim_wait_ = 0;

@@ -209,7 +209,7 @@ void Scheduler::FiberMain() {
   __sanitizer_finish_switch_fiber(nullptr, &main_stack_bottom_, &main_stack_size_);
 #endif
   (*bodies_)[me](me);
-  fibers_[me]->state = State::kDone;
+  fibers_[me].state = State::kDone;
   ++done_count_;
   SwitchToMain(/*dying=*/true);
   assert(false && "resumed a finished fiber");
@@ -217,7 +217,7 @@ void Scheduler::FiberMain() {
 }
 
 void Scheduler::SwitchToFiber(int i) {
-  Fiber& f = *fibers_[i];
+  Fiber& f = fibers_[i];
   assert(f.state == State::kReady);
   current_ = i;
   f.slice_used = 0;
@@ -242,7 +242,7 @@ void Scheduler::SwitchToFiber(int i) {
 }
 
 void Scheduler::SwitchToMain(bool dying) {
-  Fiber& f = *fibers_[current_];
+  Fiber& f = fibers_[current_];
 #if defined(GRAYSIM_ASAN_FIBERS)
   __sanitizer_start_switch_fiber(dying ? nullptr : &f.fake_stack, main_stack_bottom_,
                                  main_stack_size_);
@@ -266,21 +266,22 @@ void Scheduler::Run(const std::vector<std::function<void(int)>>& bodies) {
   }
   assert(!active_ && t_running == nullptr && "nested Scheduler::Run on this thread");
   bodies_ = &bodies;
+  // Sized once: a fiber's context lives in its element, so nothing may
+  // resize the vector while fibers run.
   fibers_.clear();
   fibers_.reserve(n);
   for (int i = 0; i < n; ++i) {
-    auto f = std::make_unique<Fiber>();
-    f->stack = t_stack_pool.Acquire();
+    Fiber& f = fibers_.emplace_back();
+    f.stack = t_stack_pool.Acquire();
 #if defined(GRAYSIM_ASAN_FIBERS)
     // A recycled stack still carries the shadow of its last fiber's frames,
     // which never returned.
-    __asan_unpoison_memory_region(f->stack, kFiberStackBytes);
+    __asan_unpoison_memory_region(f.stack, kFiberStackBytes);
 #endif
-    MakeContext(&f->ctx, f->stack, &Scheduler::Trampoline);
+    MakeContext(&f.ctx, f.stack, &Scheduler::Trampoline);
 #if defined(GRAYSIM_TSAN_FIBERS)
-    f->tsan_fiber = __tsan_create_fiber(0);
+    f.tsan_fiber = __tsan_create_fiber(0);
 #endif
-    fibers_.push_back(std::move(f));
   }
 #if defined(GRAYSIM_TSAN_FIBERS)
   main_tsan_fiber_ = __tsan_get_current_fiber();
@@ -319,11 +320,11 @@ void Scheduler::Run(const std::vector<std::function<void(int)>>& bodies) {
   t_running = nullptr;
   active_ = false;
   bodies_ = nullptr;
-  for (auto& f : fibers_) {
+  for (Fiber& f : fibers_) {
 #if defined(GRAYSIM_TSAN_FIBERS)
-    __tsan_destroy_fiber(f->tsan_fiber);
+    __tsan_destroy_fiber(f.tsan_fiber);
 #endif
-    t_stack_pool.Release(f->stack);
+    t_stack_pool.Release(f.stack);
   }
   fibers_.clear();
 }
@@ -332,7 +333,7 @@ int Scheduler::PickNext(int from) const {
   const int n = static_cast<int>(fibers_.size());
   for (int k = 1; k <= n; ++k) {
     const int j = (from + k) % n;
-    if (fibers_[j]->state == State::kReady) {
+    if (fibers_[j].state == State::kReady) {
       return j;
     }
   }
@@ -342,7 +343,7 @@ int Scheduler::PickNext(int from) const {
 void Scheduler::Charge(int proc, Nanos cost) {
   assert(proc == current_);
   clock_->Advance(cost);
-  Fiber& f = *fibers_[proc];
+  Fiber& f = fibers_[proc];
   f.slice_used += cost;
   // Fast path: one heap-front comparison, no locks, no syscalls.
   if (events_->next_time() <= clock_->now()) {
@@ -359,7 +360,7 @@ void Scheduler::SleepUntil(int proc, Nanos deadline) {
     events_->RunDue(clock_->now());
     return;
   }
-  Fiber& f = *fibers_[proc];
+  Fiber& f = fibers_[proc];
   f.state = State::kSleeping;
   // The closure re-checks the fiber before waking it: after a crash-stop,
   // WakeAll readies every sleeper and the unwound fibers are gone, but this
@@ -369,17 +370,17 @@ void Scheduler::SleepUntil(int proc, Nanos deadline) {
   // re-ready a fiber that already progressed.
   events_->ScheduleAt(deadline, EventQueue::Band::kWake, [this, proc] {
     if (static_cast<std::size_t>(proc) < fibers_.size() &&
-        fibers_[proc]->state == State::kSleeping) {
-      fibers_[proc]->state = State::kReady;
+        fibers_[proc].state == State::kSleeping) {
+      fibers_[proc].state = State::kReady;
     }
   });
   SwitchToMain(/*dying=*/false);
 }
 
 void Scheduler::WakeAll() {
-  for (auto& f : fibers_) {
-    if (f->state == State::kSleeping) {
-      f->state = State::kReady;
+  for (Fiber& f : fibers_) {
+    if (f.state == State::kSleeping) {
+      f.state = State::kReady;
     }
   }
 }

@@ -36,7 +36,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "src/obs/trace.h"
@@ -127,7 +126,7 @@ class Scheduler {
   Nanos slice_;
   obs::TraceSink* trace_ = nullptr;
   std::vector<std::uint32_t> fiber_tracks_;  // trace track id per fiber index
-  std::vector<std::unique_ptr<Fiber>> fibers_;
+  std::vector<Fiber> fibers_;
   const std::vector<std::function<void(int)>>* bodies_ = nullptr;
   Context main_ctx_{};
   void* main_fake_stack_ = nullptr;

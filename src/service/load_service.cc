@@ -112,6 +112,73 @@ bool RunRequest(Os& os, Pid pid, RequestKind kind,
   return false;
 }
 
+// What one machine's clients share. Each client body captures a pointer to
+// it and the client's index, small enough for std::function to hold without
+// a heap allocation.
+struct ClientShared {
+  const LoadScenario& scenario;
+  Machine& m;
+  const std::vector<std::string>& grep_paths;
+  // Arrival instants anchor here, captured before RunProcesses: fibers
+  // first run at different Now() values (earlier fibers advance the clock),
+  // so a per-fiber origin would make the schedule — and with it the
+  // digest — depend on fiber start order.
+  Nanos window_start;
+  Nanos window_ns;
+  Nanos slow_ns;
+  Nanos timeout_ns;
+  int mix_total;
+  std::uint32_t slow_track;
+  obs::Histogram& latency;
+  LoadCounts& counts;
+};
+
+// Client `c`'s open-loop stream: every arrival inside the window, each
+// served as one request.
+void RunClient(const ClientShared& s, int c, Pid pid) {
+  Os& os = s.m.os();
+  const auto cc = static_cast<std::uint64_t>(c);
+  ArrivalProcess arrivals(s.scenario, s.m.DeriveSeed(kArrivalStreamBase + cc));
+  graysim::Rng mix_rng(s.m.DeriveSeed(kMixStreamBase + cc));
+  graywork::DirectoryAger ager(&os, pid, "/d0/age" + std::to_string(c), 16 * 1024,
+                               s.m.DeriveSeed(kAgerStreamBase + cc));
+  const std::string scratch = "/d0/scratch" + std::to_string(c);
+  for (;;) {
+    const Nanos offset = arrivals.Next();
+    if (offset >= s.window_ns || os.crashed()) {
+      break;
+    }
+    const Nanos scheduled = s.window_start + offset;
+    const Nanos now = os.Now();
+    if (now < scheduled) {
+      os.Sleep(pid, scheduled - now);
+    } else if (now > scheduled) {
+      // Open loop: the stream was still serving the previous request
+      // when this one arrived. It runs immediately and its latency
+      // includes the queueing delay it already accumulated.
+      ++s.counts.late_starts;
+    }
+    const RequestKind kind = DrawKind(mix_rng, s.scenario.mix, s.mix_total);
+    const bool error = RunRequest(os, pid, kind, s.grep_paths, ager, scratch);
+    const Nanos request_latency = os.Now() - scheduled;
+    s.latency.Record(request_latency);
+    ++s.counts.requests;
+    if (error) {
+      ++s.counts.errors;
+    }
+    if (request_latency >= s.slow_ns) {
+      ++s.counts.slow;
+      os.trace().Complete(s.slow_track, "slow_request", scheduled, request_latency, "client",
+                          cc);
+    }
+    if (request_latency > s.timeout_ns) {
+      ++s.counts.timeouts;
+    } else if (!error) {
+      ++s.counts.ok;
+    }
+  }
+}
+
 void Accumulate(LoadCounts* into, const LoadCounts& from) {
   into->requests += from.requests;
   into->ok += from.ok;
@@ -188,57 +255,12 @@ MachineLoadResult RunLoadMachine(const LoadScenario& scenario, std::uint32_t mac
     mix_total += w;
   }
 
-  // Captured BEFORE RunProcesses and shared by every client: fibers first
-  // run at different Now() values (earlier fibers advance the clock), so
-  // arrival instants must anchor to one common origin or the schedule —
-  // and with it the digest — would depend on fiber start order.
-  const Nanos window_start = os.Now();
-
+  const ClientShared shared{scenario, m, grep_paths, os.Now(), window_ns, slow_ns,
+                            timeout_ns, mix_total, slow_track, latency, counts};
   std::vector<std::function<void(Pid)>> bodies;
   bodies.reserve(static_cast<std::size_t>(scenario.clients));
   for (int c = 0; c < scenario.clients; ++c) {
-    bodies.push_back([&, c](Pid pid) {
-      const auto cc = static_cast<std::uint64_t>(c);
-      ArrivalProcess arrivals(scenario, m.DeriveSeed(kArrivalStreamBase + cc));
-      graysim::Rng mix_rng(m.DeriveSeed(kMixStreamBase + cc));
-      graywork::DirectoryAger ager(&os, pid, "/d0/age" + std::to_string(c), 16 * 1024,
-                                   m.DeriveSeed(kAgerStreamBase + cc));
-      const std::string scratch = "/d0/scratch" + std::to_string(c);
-      for (;;) {
-        const Nanos offset = arrivals.Next();
-        if (offset >= window_ns || os.crashed()) {
-          break;
-        }
-        const Nanos scheduled = window_start + offset;
-        const Nanos now = os.Now();
-        if (now < scheduled) {
-          os.Sleep(pid, scheduled - now);
-        } else if (now > scheduled) {
-          // Open loop: the stream was still serving the previous request
-          // when this one arrived. It runs immediately and its latency
-          // includes the queueing delay it already accumulated.
-          ++counts.late_starts;
-        }
-        const RequestKind kind = DrawKind(mix_rng, scenario.mix, mix_total);
-        const bool error = RunRequest(os, pid, kind, grep_paths, ager, scratch);
-        const Nanos request_latency = os.Now() - scheduled;
-        latency.Record(request_latency);
-        ++counts.requests;
-        if (error) {
-          ++counts.errors;
-        }
-        if (request_latency >= slow_ns) {
-          ++counts.slow;
-          os.trace().Complete(slow_track, "slow_request", scheduled, request_latency,
-                              "client", cc);
-        }
-        if (request_latency > timeout_ns) {
-          ++counts.timeouts;
-        } else if (!error) {
-          ++counts.ok;
-        }
-      }
-    });
+    bodies.push_back([&shared, c](Pid pid) { RunClient(shared, c, pid); });
   }
   m.RunProcesses(bodies);
 

@@ -70,13 +70,28 @@ void EventQueue::Insert(const Entry& e) {
 }
 
 void EventQueue::PlaceInWheel(const Entry& e) {
+  std::uint32_t node = free_node_;
+  if (node != kNil) {
+    free_node_ = nodes_[node].next;
+    nodes_[node].entry = e;
+  } else {
+    node = static_cast<std::uint32_t>(nodes_.size());
+    nodes_.push_back(Node{e, kNil});
+  }
+  PlaceNode(node);
+}
+
+void EventQueue::PlaceNode(std::uint32_t node) {
+  const Entry& e = nodes_[node].entry;
   const std::uint64_t tick = TickOf(e.when);
   const std::uint64_t diff = tick ^ cur_tick_;
   assert(diff != 0 && (diff >> kOverflowShift) == 0);
   const int level = (63 - __builtin_clzll(diff)) / kLevelBits;
   const auto slot =
       static_cast<std::size_t>((tick >> (level * kLevelBits)) & (kSlotsPerLevel - 1));
-  wheel_[static_cast<std::size_t>(level)][slot].push_back(e);
+  std::uint32_t& head = bucket_head_[static_cast<std::size_t>(level)][slot];
+  nodes_[node].next = head;
+  head = node;
   auto& word = occupied_[static_cast<std::size_t>(level)][slot >> 6];
   const std::uint64_t bit = std::uint64_t{1} << (slot & 63);
   auto& min_when = slot_min_[static_cast<std::size_t>(level)][slot];
@@ -130,14 +145,17 @@ void EventQueue::PullEarliest() {
     int slot = FirstOccupiedSlot(0);
     if (slot >= 0) {
       cur_tick_ = ((cur_tick_ >> kLevelBits) << kLevelBits) | static_cast<std::uint64_t>(slot);
-      auto& bucket = wheel_[0][static_cast<std::size_t>(slot)];
-      batch_.swap(bucket);
+      std::uint32_t& head = bucket_head_[0][static_cast<std::size_t>(slot)];
+      for (std::uint32_t node = head; node != kNil;) {
+        const std::uint32_t next = nodes_[node].next;
+        batch_.push_back(nodes_[node].entry);
+        FreeNode(node);
+        node = next;
+      }
+      head = kNil;
       occupied_[0][static_cast<std::size_t>(slot) >> 6] &=
           ~(std::uint64_t{1} << (slot & 63));
       AppendBatchToDue(&batch_);
-      // batch_ now holds bucket's old (empty) storage; swap capacity back so
-      // the slot keeps its steady-state allocation.
-      batch_.swap(bucket);
       return;
     }
     // Higher levels: move the cursor to the slot's base tick and cascade its
@@ -152,17 +170,24 @@ void EventQueue::PullEarliest() {
       const std::uint64_t base = ((cur_tick_ >> shift) << shift) |
                                  (static_cast<std::uint64_t>(slot) << (level * kLevelBits));
       cur_tick_ = base;
-      auto& bucket = wheel_[static_cast<std::size_t>(level)][static_cast<std::size_t>(slot)];
+      std::uint32_t& head =
+          bucket_head_[static_cast<std::size_t>(level)][static_cast<std::size_t>(slot)];
       occupied_[static_cast<std::size_t>(level)][static_cast<std::size_t>(slot) >> 6] &=
           ~(std::uint64_t{1} << (slot & 63));
-      for (const Entry& e : bucket) {
-        if (TickOf(e.when) == base) {
-          batch_.push_back(e);
+      // Every entry lands on a lower level or goes due, so the detached list
+      // is never relinked into this bucket while it is walked.
+      std::uint32_t node = head;
+      head = kNil;
+      while (node != kNil) {
+        const std::uint32_t next = nodes_[node].next;
+        if (TickOf(nodes_[node].entry.when) == base) {
+          batch_.push_back(nodes_[node].entry);
+          FreeNode(node);
         } else {
-          PlaceInWheel(e);
+          PlaceNode(node);
         }
+        node = next;
       }
-      bucket.clear();
       if (!batch_.empty()) {
         AppendBatchToDue(&batch_);
         return;
@@ -251,9 +276,11 @@ std::vector<EventQueue::RawEvent> EventQueue::ExportPending() const {
   std::vector<Entry> entries;
   entries.reserve(count_);
   entries.insert(entries.end(), due_.begin() + static_cast<std::ptrdiff_t>(head_), due_.end());
-  for (const auto& level : wheel_) {
-    for (const auto& bucket : level) {
-      entries.insert(entries.end(), bucket.begin(), bucket.end());
+  for (const auto& level : bucket_head_) {
+    for (const std::uint32_t head : level) {
+      for (std::uint32_t node = head; node != kNil; node = nodes_[node].next) {
+        entries.push_back(nodes_[node].entry);
+      }
     }
   }
   entries.insert(entries.end(), overflow_.begin(), overflow_.end());
@@ -269,11 +296,11 @@ std::vector<EventQueue::RawEvent> EventQueue::ExportPending() const {
 void EventQueue::DiscardPending() {
   due_.clear();
   head_ = 0;
-  for (auto& level : wheel_) {
-    for (auto& bucket : level) {
-      bucket.clear();
-    }
+  for (auto& level : bucket_head_) {
+    level.fill(kNil);
   }
+  nodes_.clear();
+  free_node_ = kNil;
   for (auto& level : slot_min_) {
     level.fill(kNever);
   }

@@ -128,6 +128,10 @@ class EventQueue {
     fns_.reserve(kInitialCapacity);
     descs_.reserve(kInitialCapacity);
     free_fn_slots_.reserve(kInitialCapacity);
+    nodes_.reserve(kInitialCapacity);
+    for (auto& level : bucket_head_) {
+      level.fill(kNil);
+    }
     for (auto& level : slot_min_) {
       level.fill(kNever);
     }
@@ -259,6 +263,13 @@ class EventQueue {
   std::uint32_t AllocSlot(const EventFn& fn, const EventDesc& desc);
   void Insert(const Entry& e);
   void PlaceInWheel(const Entry& e);  // requires tick > cur_tick_, in horizon
+  // Links pool node `node` into the bucket its entry's tick selects (same
+  // requirement as PlaceInWheel).
+  void PlaceNode(std::uint32_t node);
+  void FreeNode(std::uint32_t node) {
+    nodes_[node].next = free_node_;
+    free_node_ = node;
+  }
   [[nodiscard]] Nanos WheelMinWhen() const;
   // Advances the cursor to the earliest occupied tick (cascading higher
   // levels and the overflow prefix as needed) and appends that tick's
@@ -273,7 +284,20 @@ class EventQueue {
 
   std::vector<Entry> due_;  // sorted by EarlierCmp from head_ onward
   std::size_t head_ = 0;
-  std::array<std::array<std::vector<Entry>, kSlotsPerLevel>, kLevels> wheel_;
+  // Wheel buckets: singly-linked lists through one node pool, headed per
+  // slot (kNil when empty). The pool recycles nodes through a free list and
+  // grows by doubling, so a queue allocates for its peak wheel population,
+  // not for each bucket it touches. Order within a bucket never reaches
+  // dispatch or a snapshot: a level-0 drain sorts its batch, a cascade
+  // re-places every entry, slot_min_ is a minimum, and ExportPending sorts.
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+  struct Node {
+    Entry entry;
+    std::uint32_t next = kNil;
+  };
+  std::array<std::array<std::uint32_t, kSlotsPerLevel>, kLevels> bucket_head_;
+  std::vector<Node> nodes_;
+  std::uint32_t free_node_ = kNil;
   std::array<std::array<Nanos, kSlotsPerLevel>, kLevels> slot_min_;
   std::array<std::array<std::uint64_t, kWordsPerLevel>, kLevels> occupied_;
   std::vector<Entry> overflow_;  // heap via LaterCmp: front = earliest

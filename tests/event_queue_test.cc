@@ -7,6 +7,9 @@
 // from within running closures, schedule-into-the-past, and far-future
 // events that cross the wheel's overflow horizon.
 #include <cstdint>
+#include <memory>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -177,6 +180,74 @@ TEST(EventQueueDifferential, RunDueHonorsDeadlineLikeHeap) {
     ASSERT_EQ(wheel.queue().size(), heap.queue().size()) << "deadline " << deadline;
   }
   EXPECT_EQ(wheel.Drain(), heap.Drain());
+}
+
+// A queue refilled after DiscardPending, and one rebuilt from ExportPending
+// by ImportPending and then refilled, keep dispatching like the heap: after
+// a discard, in the heap's order with the discarded events left out; after
+// an import, in the heap's order. Half the first schedule has run when the
+// queue is emptied or rebuilt, so the refill lands on a wheel whose cursor
+// and node pool are mid-use.
+TEST(EventQueueDifferential, RefillAfterDiscardAndImportMatchesHeap) {
+  for (const bool discard : {true, false}) {
+    for (const Nanos spread : {Nanos{1} << 18, Nanos{1} << 30, Nanos{1} << 44}) {
+      SCOPED_TRACE(std::string(discard ? "discard" : "import") + " spread " +
+                   std::to_string(spread));
+      EventQueue wheel(kTieSeed);
+      RefEventHeap heap(kTieSeed);
+      std::vector<std::uint64_t> wheel_log;
+      std::vector<std::uint64_t> heap_log;
+      Rng rng(spread ^ 0xD15CA4D);
+      std::uint64_t token = 0;
+      auto schedule = [&](EventQueue& q, Nanos when) {
+        const Band band = rng.Below(2) == 0 ? Band::kCompletion : Band::kWake;
+        EventDesc desc;
+        desc.arg[0] = ++token;
+        q.ScheduleAt(when, band, EventFn([&wheel_log, t = token] { wheel_log.push_back(t); }),
+                     desc);
+        heap.ScheduleAt(when, band, EventFn([&heap_log, t = token] { heap_log.push_back(t); }));
+      };
+      for (int i = 0; i < 512; ++i) {
+        schedule(wheel, rng.Below(spread));
+      }
+      const Nanos midway = spread / 2;
+      wheel.RunDue(midway);
+      heap.RunDue(midway);
+      ASSERT_EQ(wheel_log, heap_log);
+
+      std::set<std::uint64_t> discarded;
+      EventQueue* target = &wheel;
+      std::unique_ptr<EventQueue> rebuilt;
+      if (discard) {
+        for (const EventQueue::RawEvent& ev : wheel.ExportPending()) {
+          discarded.insert(ev.desc.arg[0]);
+        }
+        ASSERT_FALSE(discarded.empty());
+        wheel.DiscardPending();
+        ASSERT_TRUE(wheel.empty());
+      } else {
+        rebuilt = std::make_unique<EventQueue>(kTieSeed + 1);
+        rebuilt->RestoreKernelState(wheel.SnapshotKernelState());
+        for (const EventQueue::RawEvent& ev : wheel.ExportPending()) {
+          rebuilt->ImportPending(
+              ev, EventFn([&wheel_log, t = ev.desc.arg[0]] { wheel_log.push_back(t); }));
+        }
+        ASSERT_EQ(rebuilt->size(), wheel.size());
+        target = rebuilt.get();
+      }
+      for (int i = 0; i < 512; ++i) {
+        schedule(*target, midway + 1 + rng.Below(spread));
+      }
+      SimClock wheel_clock;
+      SimClock heap_clock;
+      while (target->RunNext(&wheel_clock)) {
+      }
+      while (heap.RunNext(&heap_clock)) {
+      }
+      std::erase_if(heap_log, [&](std::uint64_t t) { return discarded.contains(t); });
+      EXPECT_EQ(wheel_log, heap_log);
+    }
+  }
 }
 
 }  // namespace

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -239,6 +241,56 @@ TEST(FfsTest, RenameDirectoryBeneathItselfIsRejected) {
   EXPECT_EQ(found, b);
 }
 
+// RenameReplaces predicts the inode Rename then reports freeing, for renames
+// that replace a file or an empty directory, replace nothing, or fail; and
+// Unlink reports the file it frees.
+TEST(FfsTest, RenameReplacesNamesTheInodeRenameFrees) {
+  struct Row {
+    const char* from;
+    const char* to;
+    FsErr rc;
+    const char* freed;  // path of the inode freed, before the rename
+  };
+  const Row rows[] = {
+      {"/f", "/g", FsErr::kOk, "/g"},                 // file over file
+      {"/d/e", "/d/x", FsErr::kOk, nullptr},          // to a new name
+      {"/f", "/f", FsErr::kOk, nullptr},              // onto itself
+      {"/e1", "/e2", FsErr::kOk, "/e2"},              // directory over empty directory
+      {"/missing", "/g", FsErr::kNotFound, nullptr},  // no source
+      {"/e1", "/g", FsErr::kNotDir, nullptr},         // directory over file
+      {"/f", "/e1", FsErr::kIsDir, nullptr},          // file over directory
+      {"/e1", "/d", FsErr::kNotEmpty, nullptr},       // over a non-empty directory
+      {"/d", "/d/y", FsErr::kInvalid, nullptr},       // beneath itself
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(std::string(row.from) + " -> " + row.to);
+    Ffs fs = MakeFs();
+    Inum inum = kInvalidInum;
+    for (const char* dir : {"/d", "/e1", "/e2"}) {
+      ASSERT_EQ(fs.Mkdir(dir, &inum), FsErr::kOk);
+    }
+    for (const char* file : {"/f", "/g", "/d/e"}) {
+      ASSERT_EQ(fs.Create(file, &inum), FsErr::kOk);
+    }
+    Inum want = kInvalidInum;
+    if (row.freed != nullptr) {
+      ASSERT_EQ(fs.Lookup(row.freed, &want), FsErr::kOk);
+    }
+    EXPECT_EQ(fs.RenameReplaces(row.from, row.to), want);
+    Inum freed = 12345;
+    EXPECT_EQ(fs.Rename(row.from, row.to, &freed), row.rc);
+    if (row.rc == FsErr::kOk) {
+      EXPECT_EQ(freed, want);
+    }
+  }
+  Ffs fs = MakeFs();
+  Inum f = kInvalidInum;
+  ASSERT_EQ(fs.Create("/f", &f), FsErr::kOk);
+  Inum freed = kInvalidInum;
+  ASSERT_EQ(fs.Unlink("/f", &freed), FsErr::kOk);
+  EXPECT_EQ(freed, f);
+}
+
 // Path spelling: leading, repeated and trailing slashes are skipped, a path
 // with no component names the root, a create needs a last component, and a
 // walk through a regular file fails with kNotDir.
@@ -297,6 +349,156 @@ TEST(FfsTest, ListDirReturnsCreationOrder) {
   EXPECT_EQ(entries[0].name, "zz");
   EXPECT_EQ(entries[1].name, "aa");
   EXPECT_EQ(entries[2].name, "mm");
+}
+
+// The directory index against a std::map reference and a creation-order
+// list, over a table of scripted steps and then a seeded stream of them:
+// names longer than 15 characters, names sharing all but their last
+// characters, enough entries to grow the index several times, and unlink,
+// rename (within and across directories, onto itself and over an existing
+// file) and re-create. After every step each reference name resolves to
+// its inum, removed names do not resolve, and readdir lists the reference
+// order; a checkpoint round trip keeps all of it, byte for byte.
+TEST(FfsTest, DirectoryIndexMatchesMapReference) {
+  struct RefDir {
+    std::map<std::string, Inum> names;
+    std::vector<std::string> order;  // creation order, readdir order
+    void Remove(const std::string& name) {
+      names.erase(name);
+      order.erase(std::find(order.begin(), order.end(), name));
+    }
+  };
+  const std::vector<std::string> dirs = {"/", "/sub"};
+  std::map<std::string, RefDir> ref;
+  Ffs fs = MakeFs();
+  ASSERT_EQ(fs.Mkdir("/sub", nullptr), FsErr::kOk);
+  ref["/"].names["sub"] = 0;  // a directory; its inum is not checked
+  ref["/"].order.push_back("sub");
+  auto path = [](const std::string& dir, const std::string& name) {
+    return dir == "/" ? "/" + name : dir + "/" + name;
+  };
+  std::vector<std::string> pool;
+  for (int i = 0; i < 60; ++i) {
+    pool.push_back("f" + std::to_string(i));
+    pool.push_back("a_name_longer_than_fifteen_chars_" + std::to_string(i));
+    pool.push_back(std::string(40, 'p') + static_cast<char>('a' + i % 26) + std::to_string(i));
+  }
+  std::vector<std::string> removed;
+
+  auto create = [&](const std::string& dir, const std::string& name) {
+    Inum inum = kInvalidInum;
+    const FsErr err = fs.Create(path(dir, name), &inum);
+    if (ref[dir].names.contains(name)) {
+      ASSERT_EQ(err, FsErr::kExists) << path(dir, name);
+      return;
+    }
+    ASSERT_EQ(err, FsErr::kOk) << path(dir, name);
+    ref[dir].names[name] = inum;
+    ref[dir].order.push_back(name);
+  };
+  auto unlink = [&](const std::string& dir, const std::string& name) {
+    const FsErr err = fs.Unlink(path(dir, name));
+    if (!ref[dir].names.contains(name) || name == "sub") {
+      ASSERT_NE(err, FsErr::kOk) << path(dir, name);
+      return;
+    }
+    ASSERT_EQ(err, FsErr::kOk) << path(dir, name);
+    ref[dir].Remove(name);
+    removed.push_back(path(dir, name));
+  };
+  auto rename = [&](const std::string& from_dir, const std::string& from,
+                    const std::string& to_dir, const std::string& to) {
+    const FsErr err = fs.Rename(path(from_dir, from), path(to_dir, to));
+    if (!ref[from_dir].names.contains(from) || from == "sub" || to == "sub") {
+      ASSERT_NE(err, FsErr::kOk) << path(from_dir, from) << " -> " << path(to_dir, to);
+      return;
+    }
+    ASSERT_EQ(err, FsErr::kOk) << path(from_dir, from) << " -> " << path(to_dir, to);
+    if (from_dir == to_dir && from == to) {
+      return;  // onto itself: nothing moves
+    }
+    const Inum moving = ref[from_dir].names[from];
+    if (ref[to_dir].names.contains(to)) {
+      ref[to_dir].Remove(to);
+    }
+    ref[from_dir].Remove(from);
+    removed.push_back(path(from_dir, from));
+    ref[to_dir].names[to] = moving;
+    ref[to_dir].order.push_back(to);
+  };
+  auto check = [&](const Ffs& f) {
+    for (const std::string& dir : dirs) {
+      std::vector<DirEntryInfo> listed;
+      ASSERT_EQ(f.ListDir(dir, &listed), FsErr::kOk);
+      ASSERT_EQ(listed.size(), ref[dir].order.size()) << dir;
+      for (std::size_t i = 0; i < listed.size(); ++i) {
+        ASSERT_EQ(listed[i].name, ref[dir].order[i]) << dir << " entry " << i;
+      }
+      for (const auto& [name, inum] : ref[dir].names) {
+        Inum found = kInvalidInum;
+        ASSERT_EQ(f.Lookup(path(dir, name), &found), FsErr::kOk) << path(dir, name);
+        if (name != "sub") {
+          ASSERT_EQ(found, inum) << path(dir, name);
+        }
+      }
+    }
+    for (const std::string& p : removed) {
+      const std::size_t slash = p.rfind('/');
+      const std::string dir = slash == 0 ? "/" : p.substr(0, slash);
+      Inum found = kInvalidInum;
+      ASSERT_EQ(f.Lookup(p, &found) == FsErr::kOk, ref[dir].names.contains(p.substr(slash + 1)))
+          << p;
+    }
+  };
+
+  // Scripted: long and prefix-sharing names, unlink and re-create, renames.
+  const std::string long_a = "a_name_longer_than_fifteen_chars_1";
+  const std::string long_b = "a_name_longer_than_fifteen_chars_2";
+  create("/", long_a);
+  create("/", long_b);
+  create("/", long_a);  // exists
+  create("/sub", "f1");
+  unlink("/", long_a);
+  create("/", long_a);  // re-created: now last in readdir order
+  rename("/", long_b, "/sub", long_b);
+  rename("/sub", "f1", "/sub", long_b);  // over an existing file
+  rename("/sub", long_b, "/sub", long_b);  // onto itself
+  rename("/", "missing", "/sub", "f2");
+  unlink("/sub", "missing");
+  check(fs);
+
+  // Seeded: grows /sub past 100 entries, then churns both directories.
+  Rng rng(0xD1C7);
+  for (int step = 0; step < 3000; ++step) {
+    const std::string& dir = dirs[rng.Below(2)];
+    const std::string& name = pool[rng.Below(pool.size())];
+    const std::uint64_t kind = step < 300 ? 0 : rng.Below(4);
+    if (kind <= 1) {
+      create(step < 300 ? "/sub" : dir, name);
+    } else if (kind == 2) {
+      unlink(dir, name);
+    } else {
+      rename(dir, name, dirs[rng.Below(2)], pool[rng.Below(pool.size())]);
+    }
+    if (step % 100 == 99) {
+      check(fs);
+    }
+    if (step == 299) {
+      ASSERT_GT(ref["/sub"].order.size(), 100u);
+    }
+  }
+  check(fs);
+
+  ByteWriter w;
+  w.Put(fs);
+  Ffs back = MakeFs();
+  ByteReader r(w.data().data(), w.size());
+  r.Get(back);
+  ASSERT_TRUE(r.Done());
+  check(back);
+  ByteWriter again;
+  again.Put(back);
+  EXPECT_EQ(again.data(), w.data());
 }
 
 TEST(FfsTest, SetTimesRoundTrips) {
@@ -472,6 +674,38 @@ TEST(FfsTest, BitmapPaddingBitsReadBackClear) {
     ByteWriter again;
     again.Put(bits);
     EXPECT_EQ(again.data(), BytewisePack(std::vector<bool>(n, true)));
+  }
+}
+
+// A bitmap holds no words until a bit is set. One never set and one set and
+// then cleared encode to the same bytes, and all-zero bytes decode to a
+// bitmap that holds no words.
+TEST(FfsTest, UntouchedBitmapsHoldNoWordsAndEncodeAsClear) {
+  for (const std::size_t n : {1, 63, 64, 65, 8184}) {
+    SCOPED_TRACE(n);
+    Bitmap untouched;
+    untouched.Reset(n);
+    untouched.Set(0, false);
+    EXPECT_EQ(untouched.capacity_bytes(), 0u);
+    Bitmap cleared;
+    cleared.Reset(n);
+    cleared.Set(n - 1, true);
+    cleared.Set(n - 1, false);
+    EXPECT_GT(cleared.capacity_bytes(), 0u);
+    ByteWriter a;
+    a.Put(untouched);
+    ByteWriter b;
+    b.Put(cleared);
+    EXPECT_EQ(a.data(), b.data());
+    EXPECT_EQ(a.data(), BytewisePack(std::vector<bool>(n, false)));
+
+    ByteReader r(a.data().data(), a.size());
+    Bitmap back;
+    r.Get(back);
+    ASSERT_TRUE(r.Done());
+    EXPECT_EQ(back.size(), n);
+    EXPECT_EQ(back.capacity_bytes(), 0u);
+    EXPECT_FALSE(back.Test(n - 1));
   }
 }
 

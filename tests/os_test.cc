@@ -252,6 +252,110 @@ TEST(OsTest, RenameOntoItselfKeepsDirtyPages) {
   ASSERT_EQ(os.Close(pid, fd), 0);
 }
 
+// A rename that fails replaces nothing, so the file it names as its target
+// keeps its cached pages, unwritten ones included: whether the source is
+// missing or is a directory, which cannot replace a file.
+TEST(OsTest, FailedRenameKeepsTheTargetsPages) {
+  Os os(PlatformProfile::Linux22());
+  const Pid pid = os.default_pid();
+  const int fd = os.Creat(pid, "/d0/f");
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(os.Pwrite(pid, fd, 2 * 4096, 0), 2 * 4096);
+  ASSERT_EQ(os.Mkdir(pid, "/d0/dir"), 0);
+  EXPECT_EQ(os.Rename(pid, "/d0/missing", "/d0/f"), -static_cast<int>(FsErr::kNotFound));
+  EXPECT_TRUE(os.PageResidentPath("/d0/f", 0));
+  EXPECT_EQ(os.Rename(pid, "/d0/dir", "/d0/f"), -static_cast<int>(FsErr::kNotDir));
+  EXPECT_TRUE(os.PageResidentPath("/d0/f", 1));
+  const std::uint64_t written = os.stats().writeback_pages;
+  ASSERT_EQ(os.Fsync(pid, fd), 0);
+  EXPECT_EQ(os.stats().writeback_pages - written, 2u);
+  ASSERT_EQ(os.Close(pid, fd), 0);
+}
+
+// Unlink's walk blocks on a directory block while another process renames
+// a file over the one being unlinked. The unlink then frees the renamed
+// file, so it must drop that file's pages, not those of the inode the path
+// named before the walk: otherwise the freed inum, reused by the next file
+// created beside it, reports the renamed file's pages as its own.
+TEST(OsTest, UnlinkDropsThePagesOfTheInodeItFrees) {
+  Os os(PlatformProfile::Linux22());
+  const Pid pid = os.default_pid();
+  // The first directory lands in the root's group; /d0/a and /d0/b get
+  // groups, and directory blocks, of their own.
+  ASSERT_EQ(os.Mkdir(pid, "/d0/c"), 0);
+  ASSERT_EQ(os.Mkdir(pid, "/d0/a"), 0);
+  ASSERT_EQ(os.Mkdir(pid, "/d0/b"), 0);
+  MakeFile(os, pid, "/d0/a/x", 2 * 4096);
+  MakeFile(os, pid, "/d0/b/z", 2 * 4096);
+  os.FlushFileCache();
+  // Warm /d0/b/z and the metadata the rename walks; /d0/a stays cold.
+  InodeAttr z;
+  ASSERT_EQ(os.Stat(pid, "/d0/b/z", &z), 0);
+  const int fd = os.Open(pid, "/d0/b/z");
+  ASSERT_EQ(os.Pread(pid, fd, {}, 2 * 4096, 0), 2 * 4096);
+  ASSERT_EQ(os.Close(pid, fd), 0);
+
+  int unlinked = -1;
+  int renamed = -1;
+  os.RunProcesses({
+      [&](Pid p) { unlinked = os.Unlink(p, "/d0/a/x"); },
+      [&](Pid p) {
+        os.Sleep(p, 1000);  // lands inside the unlink's cold directory read
+        renamed = os.Rename(p, "/d0/b/z", "/d0/a/x");
+      },
+  });
+  ASSERT_EQ(unlinked, 0);
+  ASSERT_EQ(renamed, 0);
+  InodeAttr gone;
+  EXPECT_LT(os.Stat(pid, "/d0/a/x", &gone), 0) << "the unlink ran after the rename";
+
+  ASSERT_EQ(os.Close(pid, os.Creat(pid, "/d0/b/new")), 0);
+  InodeAttr fresh;
+  ASSERT_EQ(os.Stat(pid, "/d0/b/new", &fresh), 0);
+  ASSERT_EQ(fresh.inum, z.inum) << "precondition: the new file reuses z's freed inum";
+  EXPECT_FALSE(os.PageResidentPath("/d0/b/new", 0));
+}
+
+// Rename's walk blocks on a directory block while another process writes
+// the file the rename will replace. The rename then frees that file, so it
+// must drop the pages written meanwhile too: otherwise the freed inum,
+// reused by the next file created beside it, reports them as its own.
+TEST(OsTest, RenameDropsTheTargetsPagesWrittenDuringItsWalk) {
+  Os os(PlatformProfile::Linux22());
+  const Pid pid = os.default_pid();
+  // As above: /d0/a and /d0/b get groups, and directory blocks, of their own.
+  ASSERT_EQ(os.Mkdir(pid, "/d0/c"), 0);
+  ASSERT_EQ(os.Mkdir(pid, "/d0/a"), 0);
+  ASSERT_EQ(os.Mkdir(pid, "/d0/b"), 0);
+  MakeFile(os, pid, "/d0/a/x", 2 * 4096);
+  MakeFile(os, pid, "/d0/b/z", 2 * 4096);
+  os.FlushFileCache();
+  // Warm the metadata the writer walks; /d0/b, which the rename walks, stays
+  // cold.
+  InodeAttr x;
+  ASSERT_EQ(os.Stat(pid, "/d0/a/x", &x), 0);
+
+  int renamed = -1;
+  std::int64_t wrote = -1;
+  os.RunProcesses({
+      [&](Pid p) { renamed = os.Rename(p, "/d0/b/z", "/d0/a/x"); },
+      [&](Pid p) {
+        os.Sleep(p, 1000);  // lands inside the rename's cold directory read
+        const int fd = os.Open(p, "/d0/a/x");
+        wrote = os.Pwrite(p, fd, 2 * 4096, 0);
+        (void)os.Close(p, fd);
+      },
+  });
+  ASSERT_EQ(wrote, 2 * 4096);
+  ASSERT_EQ(renamed, 0);
+
+  ASSERT_EQ(os.Close(pid, os.Creat(pid, "/d0/a/new")), 0);
+  InodeAttr fresh;
+  ASSERT_EQ(os.Stat(pid, "/d0/a/new", &fresh), 0);
+  ASSERT_EQ(fresh.inum, x.inum) << "precondition: the new file reuses x's freed inum";
+  EXPECT_FALSE(os.PageResidentPath("/d0/a/new", 0));
+}
+
 TEST(OsTest, StatReportsInumAndTimes) {
   Os os(PlatformProfile::Linux22());
   const Pid pid = os.default_pid();

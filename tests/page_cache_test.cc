@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <string>
 #include <vector>
@@ -91,7 +92,8 @@ TEST_F(PageCacheTest, TakeOldestDirtyReturnsDirtyingOrder) {
   ASSERT_TRUE(cache_.Insert(1, 5, true, &cost_));
   ASSERT_TRUE(cache_.Insert(2, 9, true, &cost_));
   ASSERT_TRUE(cache_.Insert(1, 1, true, &cost_));
-  const auto batch = cache_.TakeOldestDirty(2);
+  std::vector<std::pair<Inum, std::uint64_t>> batch;
+  cache_.TakeOldestDirty(2, &batch);
   ASSERT_EQ(batch.size(), 2u);
   EXPECT_EQ(batch[0], (std::pair<Inum, std::uint64_t>{1, 5}));
   EXPECT_EQ(batch[1], (std::pair<Inum, std::uint64_t>{2, 9}));
@@ -102,7 +104,8 @@ TEST_F(PageCacheTest, TakeDirtyOfFileIsSelective) {
   ASSERT_TRUE(cache_.Insert(1, 0, true, &cost_));
   ASSERT_TRUE(cache_.Insert(2, 0, true, &cost_));
   ASSERT_TRUE(cache_.Insert(1, 3, true, &cost_));
-  const auto pages = cache_.TakeDirtyOfFile(1);
+  std::vector<std::pair<Inum, std::uint64_t>> pages;
+  cache_.TakeDirtyOfFile(1, &pages);
   EXPECT_EQ(pages.size(), 2u);
   EXPECT_EQ(cache_.dirty_pages(), 1u);  // file 2's page remains dirty
 }
@@ -308,7 +311,11 @@ TEST(PageCacheDropDifferentialTest, PerFileDropsMatchFullScanReference) {
         } else if (kind < 68) {
           ASSERT_EQ(subject.cache.Access(inum, page), reference.cache.Access(inum, page));
         } else if (kind < 72) {
-          ASSERT_EQ(subject.cache.TakeOldestDirty(2), reference.cache.TakeOldestDirty(2));
+          std::vector<std::pair<Inum, std::uint64_t>> taken;
+          std::vector<std::pair<Inum, std::uint64_t>> expected;
+          subject.cache.TakeOldestDirty(2, &taken);
+          reference.cache.TakeOldestDirty(2, &expected);
+          ASSERT_EQ(taken, expected);
         } else {
           const bool whole_file = kind < 86;
           const std::uint64_t first_page = whole_file ? 0 : pick(26);
@@ -327,6 +334,85 @@ TEST(PageCacheDropDifferentialTest, PerFileDropsMatchFullScanReference) {
   }
   EXPECT_GT(drops, 1000);
   EXPECT_GT(wrapped_drops, 0) << "no drop touched a cluster that wraps past the last slot";
+}
+
+// The fsync collection PageCache made before it looked up the file's page
+// span: one walk of the whole dirty chain, taking the file's pages in
+// dirtying order. Kept here as the reference TakeDirtyOfFile must match.
+std::vector<std::pair<Inum, std::uint64_t>> ChainWalkTakeDirty(CacheRig& rig, Inum inum) {
+  std::vector<std::pair<Inum, std::uint64_t>> taken;
+  DirtyList dirty = rig.cache.dirty_list();
+  FrameId f = dirty.front();
+  while (f != kNoFrame) {
+    const FrameId next = DirtyList::Next(rig.mem.frames(), f);
+    if (static_cast<Inum>(rig.mem.frames().key1(f)) == inum) {
+      taken.emplace_back(inum, rig.mem.frames().key2(f));
+      dirty.Remove(rig.mem.frames(), f);
+      rig.mem.MarkClean(f);
+    }
+    f = next;
+  }
+  rig.cache.RestoreDirtyList(dirty);
+  return taken;
+}
+
+// Seeded random writes, reads, write-behind and drops under eviction
+// pressure, with an fsync of a random file as one op in six. The span
+// lookup must take the same page set as the chain walk and leave both
+// caches identical: the other files' dirty pages stay in chain order. Pages
+// far past the rest of a file make its span longer than the dirty chain, so
+// some fsyncs take the chain-walk path.
+TEST(PageCacheDropDifferentialTest, FsyncTakesTheChainWalksPageSet) {
+  int span_fsyncs = 0;
+  int chain_fsyncs = 0;
+  for (const std::uint64_t frames : {std::uint64_t{8}, std::uint64_t{40}}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE("frames " + std::to_string(frames) + " seed " + std::to_string(seed));
+      CacheRig subject(frames);
+      CacheRig reference(frames);
+      std::mt19937_64 rng(seed * 0xC2B2AE3D27D4EB4FULL + frames);
+      auto pick = [&rng](std::uint64_t n) { return rng() % n; };
+      for (int op = 0; op < 2000; ++op) {
+        const Inum inum = static_cast<Inum>(1 + pick(6));
+        const std::uint64_t page = pick(25) == 0 ? 200 + pick(16) : pick(8);
+        const std::uint64_t kind = pick(6);
+        Nanos cost = 0;
+        if (kind < 3) {
+          const bool dirty = pick(4) != 0;
+          ASSERT_EQ(subject.cache.Insert(inum, page, dirty, &cost),
+                    reference.cache.Insert(inum, page, dirty, &cost));
+        } else if (kind == 3) {
+          ASSERT_EQ(subject.cache.Access(inum, page), reference.cache.Access(inum, page));
+        } else if (kind == 4) {
+          if (pick(4) == 0) {
+            subject.cache.DropFile(inum);
+            reference.cache.DropFile(inum);
+          } else {
+            std::vector<std::pair<Inum, std::uint64_t>> ignored;
+            subject.cache.TakeOldestDirty(1, &ignored);
+            reference.cache.TakeOldestDirty(1, &ignored);
+          }
+        } else {
+          const PageCache::FileState* file = subject.cache.files().Find(inum);
+          if (file != nullptr && file->page_span <= subject.cache.dirty_pages()) {
+            ++span_fsyncs;
+          } else if (file != nullptr) {
+            ++chain_fsyncs;
+          }
+          std::vector<std::pair<Inum, std::uint64_t>> taken;
+          subject.cache.TakeDirtyOfFile(inum, &taken);
+          std::vector<std::pair<Inum, std::uint64_t>> expected =
+              ChainWalkTakeDirty(reference, inum);
+          std::sort(taken.begin(), taken.end());
+          std::sort(expected.begin(), expected.end());
+          ASSERT_EQ(taken, expected) << "after op " << op;
+        }
+        ASSERT_EQ(FirstDifference(subject, reference), "") << "after op " << op;
+      }
+    }
+  }
+  EXPECT_GT(span_fsyncs, 300);
+  EXPECT_GT(chain_fsyncs, 300);
 }
 
 }  // namespace
