@@ -26,12 +26,18 @@
 // constructing one, a Snapshot and a Fork of it once populated, and a warm
 // two-page Pwrite plus Fsync on an open fd, which should allocate nothing.
 //
+// Two more rows price what perfbench's end-to-end runs cannot isolate: one
+// scheduler dispatch among 80 fibers, 79 of them asleep, and one
+// FlushFileCache of a load_steady machine's set-up. Both should allocate
+// nothing, and their allocation rows carry the gated "allocs" unit too.
+//
 // Loops are deterministic (fixed xorshift seed) and sized to run long
 // enough to dominate timer noise while keeping the whole binary under a
 // few seconds.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -97,10 +103,13 @@ LoopResult TimeLoop(std::uint64_t ops, Body&& body) {
   return r;
 }
 
-void Report(gbench::JsonResults& json, const char* name, const LoopResult& r) {
+// `allocs_unit` "allocs" makes perf-smoke hold the allocation row to its
+// baseline (check_perf.py); the older rows report it ungated.
+void Report(gbench::JsonResults& json, const char* name, const LoopResult& r,
+            const char* allocs_unit = "") {
   std::printf("%-28s %10.2f Mops/s %10.4f allocs/op\n", name, r.mops, r.allocs_per_op);
   json.Add(std::string(name) + "_ops_per_s", r.mops * 1e6, "ops/s");
-  json.Add(std::string(name) + "_allocs_per_op", r.allocs_per_op);
+  json.Add(std::string(name) + "_allocs_per_op", r.allocs_per_op, allocs_unit);
 }
 
 // A machine-sized pool: 160 MB of 4 KB frames, matching the golden
@@ -260,6 +269,30 @@ LoopResult BenchStatPath() {
   return TimeLoop(1'000'000, [&](std::uint64_t) { (void)os.Stat(pid, path, &attr); });
 }
 
+// One dispatch among 80 fibers, 79 of them asleep on wake events, as in a
+// load_steady replay: fiber 0 yields and the dispatch loop picks it again.
+// The ready set finds it a word at a time; a scan of every fiber's state
+// read 80.
+LoopResult BenchSchedDispatch() {
+  graysim::SimClock clock;
+  EventQueue events(0x5555AAAA5555AAAAULL);
+  graysim::Scheduler sched(&clock, &events, graysim::Millis(10.0));
+  constexpr int kFibers = 80;
+  constexpr std::uint64_t kDispatches = 2'000'000;
+  LoopResult r;
+  const auto body = [&](int proc) {
+    if (proc != 0) {
+      sched.Sleep(proc, graysim::Seconds(1000.0));
+      return;
+    }
+    sched.Yield(proc);  // every other fiber runs once and falls asleep
+    r = TimeLoop(kDispatches, [&](std::uint64_t) { sched.Yield(proc); });
+    sched.WakeAll();
+  };
+  sched.Run(std::vector<std::function<void(int)>>(kFibers, body));
+  return r;
+}
+
 // Prices Machine::Snapshot and Machine::Fork on a machine with real state:
 // a 32 MB warmed file, dirty pages, and pending events. Forking is the
 // robustness-matrix inner loop, so its cost lands in the BENCH JSON both
@@ -371,6 +404,54 @@ void BenchMachineAllocs(gbench::JsonResults& json) {
   json.Add("fsync_allocs_per_op", fsync.allocs_per_op, "allocs");
 }
 
+// Os::FlushFileCache alone, on the machine a load_steady replay builds and
+// flushes once in its set-up: 64 MB, two disks, a sort input, a grep set
+// and two aging files for each of 80 clients, about 850 resident pages.
+// Each op reads every file back in (untimed), then times the flush.
+LoopResult BenchFlushFileCache() {
+  Machine machine(PlatformProfile::Linux22(), ServiceShape(), /*machine_id=*/0,
+                  /*seed=*/0x10AD);
+  graysim::Os& os = machine.os();
+  const graysim::Pid pid = os.default_pid();
+  std::vector<std::string> files = {"/d0/sort_in"};
+  (void)graywork::MakeFile(os, pid, files[0], 256 * 1024);
+  auto add_set = [&](const std::string& dir, int count, std::uint64_t bytes) {
+    const std::vector<std::string> set = graywork::MakeFileSet(os, pid, dir, count, bytes);
+    files.insert(files.end(), set.begin(), set.end());
+  };
+  add_set("/d1/src", 4, 64 * 1024);
+  for (int c = 0; c < 80; ++c) {
+    add_set("/d0/age" + std::to_string(c), 2, 16 * 1024);
+  }
+  constexpr int kFlushes = 300;
+  double secs = 0.0;
+  std::uint64_t allocs = 0;
+  std::uint64_t resident = 0;
+  for (int i = 0; i <= kFlushes; ++i) {
+    for (const std::string& f : files) {
+      const int fd = os.Open(pid, f);
+      (void)os.Pread(pid, fd, {}, 256 * 1024, 0);
+      (void)os.Close(pid, fd);
+    }
+    resident += i == 0 ? 0 : os.FileCachePages();
+    const gbench::AllocCounts alloc_start = gbench::AllocSnapshot();
+    const auto start = std::chrono::steady_clock::now();
+    os.FlushFileCache();
+    const double flush_s =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+    if (i > 0) {  // the first flush sizes the slot bitmap
+      secs += flush_s;
+      allocs += AllocsSince(alloc_start);
+    }
+  }
+  std::printf("%-28s %10llu resident pages per flush\n", "flush_file_cache",
+              static_cast<unsigned long long>(resident / kFlushes));
+  LoopResult r;
+  r.mops = kFlushes / secs / 1e6;
+  r.allocs_per_op = static_cast<double>(allocs) / kFlushes;
+  return r;
+}
+
 // Prices EncodeMachineImage and DecodeMachineImage on a populated 64 MB,
 // two-disk machine (perfbench ckpt_restart's shape). Most of its image is
 // FFS cylinder-group bitmaps and inode-slot flags, and every byte is
@@ -462,6 +543,8 @@ int main() {
 
   BenchSnapshotFork(json);
   BenchMachineAllocs(json);
+  Report(json, "sched_dispatch", BenchSchedDispatch(), "allocs");
+  Report(json, "flush_file_cache", BenchFlushFileCache(), "allocs");
   if (!BenchImageCodec(json)) {
     return 1;
   }

@@ -145,13 +145,23 @@ void PageCache::RebuildPageSpans() {
 }
 
 void PageCache::DropAll(std::vector<std::pair<Inum, std::uint64_t>>* dirty_dropped) {
-  pages_.ForEach([&](std::uint64_t key, FrameId ref) {
-    if (mem_->frames().dirty(ref) && dirty_dropped != nullptr) {
+  // Every cached page is on the file LRU list, so its frames name the
+  // occupied slots. ClearMarked then removes the pages in ascending slot
+  // order, as a pass over the whole table would: that order fixes the
+  // frame free list and the order of *dirty_dropped.
+  const FrameTable& frames = mem_->frames();
+  drop_marks_.resize((pages_.slot_count() + 63) / 64);
+  for (FrameId f = mem_->file_lru().front(); f != kNoFrame; f = LruList::Next(frames, f)) {
+    const std::size_t slot = pages_.SlotOf(Key(static_cast<Inum>(frames.key1(f)), frames.key2(f)));
+    assert(slot < pages_.slot_count());
+    drop_marks_[slot / 64] |= std::uint64_t{1} << (slot % 64);
+  }
+  pages_.ClearMarked(drop_marks_, [&](std::uint64_t key, FrameId ref) {
+    if (frames.dirty(ref) && dirty_dropped != nullptr) {
       dirty_dropped->emplace_back(KeyInum(key), KeyPage(key));
     }
     mem_->Remove(ref);
   });
-  pages_.Clear();
   files_.Clear();
   dirty_order_.Clear();
 }

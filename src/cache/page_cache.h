@@ -69,6 +69,8 @@ class PageCache {
 
   // Drops all file pages (experimental cache flush). Dirty pages are
   // reported through *dirty_dropped so the caller can charge writeback.
+  // Costs the resident pages, not the table: the pages are found through
+  // the file LRU list and leave in page-table slot order.
   void DropAll(std::vector<std::pair<Inum, std::uint64_t>>* dirty_dropped);
 
   // The Take*Dirty calls mark the pages they take clean and append them to
@@ -189,6 +191,8 @@ class PageCache {
   FlatMap<FileState> files_;      // inum -> resident pages and page span
   DirtyList dirty_order_;         // intrusive chain, oldest first
   std::vector<std::size_t> drop_slots_;  // scratch for per-file drops
+  // DropAll's bitmap of page-table slots, all clear between calls.
+  std::vector<std::uint64_t> drop_marks_;
 };
 
 }  // namespace graysim

@@ -15,6 +15,7 @@
 #ifndef SRC_FS_FFS_H_
 #define SRC_FS_FFS_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -192,6 +193,17 @@ class Ffs {
   // [*first, *first + *count).
   [[nodiscard]] FsErr DirBlocks(Inum dir_inum, std::uint64_t* first, std::uint64_t* count) const;
 
+  // The metadata blocks a lookup of `path` reads, in order: read(block) for
+  // each entry block of every directory on the path, then for the inode
+  // block of the inode the path names. It stops after the reads of the
+  // directory in which a component is missing. `read` may block while
+  // other processes change the namespace, so after a directory's reads the
+  // walk resolves the path up to the next component from the root again if
+  // any directory entry changed during them. Otherwise it steps from the
+  // directory it holds, which the path up to there still names.
+  template <class Read>
+  void WalkReads(std::string_view path, Read&& read) const;
+
   [[nodiscard]] const FsParams& params() const { return params_; }
   [[nodiscard]] std::uint64_t free_blocks() const { return free_data_blocks_; }
   [[nodiscard]] Inum root() const { return root_; }
@@ -337,6 +349,9 @@ class Ffs {
   [[nodiscard]] FsErr ResolveParent(std::string_view path, Inum* parent,
                                     std::string_view* leaf) const;
   [[nodiscard]] FsErr ResolveInum(std::string_view path, Inum* out) const;
+  // One step of a lookup: the entry `name` of directory `dir`, with the
+  // error a lookup gives at that step.
+  [[nodiscard]] FsErr LookupChild(Inum dir, std::string_view name, Inum* out) const;
 
   // What Rename(from, to) would do now. `replaced` is the inode `to` names,
   // which the rename frees (kInvalidInum if none); it equals `moving` for a
@@ -367,11 +382,14 @@ class Ffs {
 
   // Directory entries by name, through the index. FindChild returns null
   // when `name` is absent; the pointer is valid until `dir` changes.
-  // RemoveChild requires `name` to be present. IndexChildren rebuilds the
-  // index from `entries` and returns false if a name repeats.
+  // RemoveChild requires `name` to be present. AddChild and RemoveChild
+  // advance the namespace generation; every inode freed is unlinked by a
+  // RemoveChild in the same call, so a lookup's answer never changes while
+  // the generation holds. IndexChildren rebuilds the index from `entries`
+  // and returns false if a name repeats.
   [[nodiscard]] static const Child* FindChild(const Inode& dir, std::string_view name);
-  static void AddChild(Inode& dir, std::string_view name, Inum inum);
-  static void RemoveChild(Inode& dir, std::string_view name);
+  void AddChild(Inode& dir, std::string_view name, Inum inum);
+  void RemoveChild(Inode& dir, std::string_view name);
   static bool IndexChildren(Inode& dir);
 
   // Allocates one data block for `inode`; `prev` is the previous block of
@@ -396,7 +414,41 @@ class Ffs {
   std::uint32_t dir_cg_rotor_ = 0;
   std::uint64_t log_head_ = 0;  // kLogStructured global append cursor
   Nanos now_hint_ = 0;
+  // Counts directory-entry changes, every entry added or removed. Never
+  // checkpointed: it tells a WalkReads whose reads blocked whether the
+  // names it resolved can have moved meanwhile.
+  std::uint64_t namespace_generation_ = 0;
 };
+
+template <class Read>
+void Ffs::WalkReads(std::string_view path, Read&& read) const {
+  Inum cur = root_;
+  for (std::size_t begin = path.find_first_not_of('/'); begin != std::string_view::npos;
+       begin = path.find_first_not_of('/', begin)) {
+    const std::size_t end = std::min(path.find('/', begin), path.size());
+    const std::uint64_t generation = namespace_generation_;
+    std::uint64_t first = 0;
+    std::uint64_t count = 0;
+    if (DirBlocks(cur, &first, &count) == FsErr::kOk) {
+      for (std::uint64_t b = first; b < first + count; ++b) {
+        read(b);
+      }
+    }
+    Inum next = kInvalidInum;
+    FsErr err = FsErr::kOk;
+    if (namespace_generation_ == generation) {
+      err = LookupChild(cur, path.substr(begin, end - begin), &next);
+    } else {
+      err = Lookup(path.substr(0, end), &next);
+    }
+    if (err != FsErr::kOk) {
+      return;
+    }
+    cur = next;
+    begin = end;
+  }
+  read(InodeBlockOf(cur));
+}
 
 // The inode table's checkpoint encoding: the slot count, then per slot a
 // zero byte when it is free, or a one byte and the inode's field list. A

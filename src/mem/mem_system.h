@@ -132,6 +132,8 @@ class MemSystem {
   [[nodiscard]] FrameTable& frames() { return frames_; }
   [[nodiscard]] const FrameTable& frames() const { return frames_; }
   [[nodiscard]] Page page(PageRef ref) const { return frames_.PageOf(ref); }
+  // Every resident file page, least recently used first.
+  [[nodiscard]] const LruList& file_lru() const { return file_lru_; }
 
   // Copies another MemSystem's simulation state (machine snapshot/fork):
   // the frame slab plus the intrusive list heads and counters. FrameIds are

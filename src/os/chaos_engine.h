@@ -58,7 +58,11 @@ struct ChaosStats {
 
 class ChaosEngine {
  public:
-  explicit ChaosEngine(const FaultPlan& plan) : plan_(plan), rng_(plan.seed) {}
+  explicit ChaosEngine(const FaultPlan& plan) : plan_(plan), rng_(plan.seed) {
+    if (plan_.jitter_burst_period > 0) {
+      jitter_edge_ = WindowEdge(plan_.jitter_burst_period, plan_.jitter_burst_duty);
+    }
+  }
 
   ChaosEngine(const ChaosEngine&) = delete;
   ChaosEngine& operator=(const ChaosEngine&) = delete;
@@ -114,14 +118,18 @@ class ChaosEngine {
   }
 
   // Jitter amplitude at virtual time `now`: the burst square wave replaces
-  // the configured base amplitude inside its duty window. Draw-free.
-  [[nodiscard]] double JitterAmplitude(Nanos now, double base) const {
+  // the configured base amplitude inside its duty window. Draw-free. The
+  // wave holds its level over [jitter_from_, jitter_until_), the run of
+  // instants around the last call's, so a call inside it costs two
+  // comparisons; a call outside it locates the new run with one modulo.
+  [[nodiscard]] double JitterAmplitude(Nanos now, double base) {
     if (plan_.jitter_burst_period == 0) {
       return base;
     }
-    return InWindow(now, plan_.jitter_burst_period, plan_.jitter_burst_duty)
-               ? plan_.jitter_burst_amplitude
-               : base;
+    if (now < jitter_from_ || now >= jitter_until_) {
+      LocateJitterRun(now);
+    }
+    return jitter_burst_ ? plan_.jitter_burst_amplitude : base;
   }
 
   // Extra latency for a zero-fill page allocation at virtual time `now`:
@@ -173,13 +181,54 @@ class ChaosEngine {
   }
 
   [[nodiscard]] static bool InWindow(Nanos now, Nanos period, double duty) {
-    const Nanos phase = now % period;
+    return PhaseInWindow(now % period, period, duty);
+  }
+
+  // The square waves' one comparison: a phase in [0, period) lies inside
+  // the duty window when it is below duty * period.
+  [[nodiscard]] static bool PhaseInWindow(Nanos phase, Nanos period, double duty) {
     return static_cast<double>(phase) < duty * static_cast<double>(period);
+  }
+
+  // The least phase in [0, period] that PhaseInWindow puts outside the
+  // window, or period when none is. Converting a phase to double never
+  // decreases it, so the phases inside the window are a prefix and a
+  // binary search finds where it ends.
+  [[nodiscard]] static Nanos WindowEdge(Nanos period, double duty) {
+    Nanos lo = 0;
+    Nanos hi = period;
+    while (lo < hi) {
+      const Nanos mid = lo + (hi - lo) / 2;
+      if (PhaseInWindow(mid, period, duty)) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    return lo;
+  }
+
+  // Sets the jitter run to the one holding `now`: [start, start + edge)
+  // inside the burst window, [start + edge, start + period) after it. An
+  // end that wraps past the largest instant only makes the next call
+  // locate again.
+  void LocateJitterRun(Nanos now) {
+    const Nanos start = now - now % plan_.jitter_burst_period;
+    jitter_burst_ = now - start < jitter_edge_;
+    jitter_from_ = jitter_burst_ ? start : start + jitter_edge_;
+    jitter_until_ = jitter_burst_ ? start + jitter_edge_ : start + plan_.jitter_burst_period;
   }
 
   FaultPlan plan_;
   Rng rng_;
   ChaosStats stats_;
+  // The jitter burst wave: its window's edge within a period, and the run
+  // of instants the last JitterAmplitude call located (derived from the
+  // clock, so never checkpointed; empty until the first call).
+  Nanos jitter_edge_ = 0;
+  Nanos jitter_from_ = 0;
+  Nanos jitter_until_ = 0;
+  bool jitter_burst_ = false;
 };
 
 }  // namespace graysim

@@ -503,20 +503,24 @@ bool Os::ParsePath(std::string_view path, PathRef* out) const {
     return false;
   }
   std::size_t i = 2;
-  int disk = 0;
+  std::size_t disk = 0;
   bool any = false;
   while (i < path.size() && path[i] >= '0' && path[i] <= '9') {
-    disk = disk * 10 + (path[i] - '0');
+    disk = disk * 10 + static_cast<std::size_t>(path[i] - '0');
+    // Checked at every digit, so the next multiply cannot overflow.
+    if (disk >= disks_.size()) {
+      return false;
+    }
     ++i;
     any = true;
   }
-  if (!any || disk >= static_cast<int>(disks_.size())) {
+  if (!any) {
     return false;
   }
   if (i < path.size() && path[i] != '/') {
     return false;
   }
-  out->disk = disk;
+  out->disk = static_cast<int>(disk);
   out->sub = path.substr(i);
   return true;
 }
@@ -687,33 +691,8 @@ void Os::MetaDirty(Pid pid, int disk, std::uint64_t block) {
 }
 
 void Os::ChargeWalk(Pid pid, const PathRef& ref) {
-  Ffs& f = *filesystems_[ref.disk];
-  // Walk each directory on the path, reading its entry blocks, then read the
-  // final component's inode block.
-  Inum cur = f.root();
-  for (std::size_t begin = ref.sub.find_first_not_of('/'); begin != std::string_view::npos;
-       begin = ref.sub.find_first_not_of('/', begin)) {
-    const std::size_t end = std::min(ref.sub.find('/', begin), ref.sub.size());
-    // Read the directory we are searching.
-    std::uint64_t first = 0;
-    std::uint64_t count = 0;
-    if (f.DirBlocks(cur, &first, &count) == FsErr::kOk) {
-      for (std::uint64_t b = first; b < first + count; ++b) {
-        MetaRead(pid, ref.disk, b);
-      }
-    }
-    // Advance `cur` by resolving the path up to this component from the
-    // root again: a MetaRead above may have blocked while another process
-    // unlinked or renamed part of the path.
-    Inum next = kInvalidInum;
-    if (f.Lookup(ref.sub.substr(0, end), &next) != FsErr::kOk) {
-      return;  // component missing; caller already handled the error
-    }
-    cur = next;
-    begin = end;
-  }
-  // Final inode block.
-  MetaRead(pid, ref.disk, f.InodeBlockOf(cur));
+  const auto read = [&](std::uint64_t block) { MetaRead(pid, ref.disk, block); };
+  filesystems_[ref.disk]->WalkReads(ref.sub, read);
 }
 
 std::uint8_t Os::ContentByte(Inum tagged, std::uint64_t offset) {

@@ -438,7 +438,8 @@ class Os : private EvictionHandler {
   void MetaRead(Pid pid, int disk, std::uint64_t block);
   void MetaDirty(Pid pid, int disk, std::uint64_t block);
 
-  // Charges the directory walk + final inode read for resolving `path`.
+  // Charges the directory walk + final inode read for resolving `path`: a
+  // MetaRead of each block Ffs::WalkReads names.
   void ChargeWalk(Pid pid, const PathRef& ref);
 
   // Background daemons, both running as event-queue closures.

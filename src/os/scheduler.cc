@@ -209,7 +209,7 @@ void Scheduler::FiberMain() {
   __sanitizer_finish_switch_fiber(nullptr, &main_stack_bottom_, &main_stack_size_);
 #endif
   (*bodies_)[me](me);
-  fibers_[me].state = State::kDone;
+  SetState(me, State::kDone);
   ++done_count_;
   SwitchToMain(/*dying=*/true);
   assert(false && "resumed a finished fiber");
@@ -270,7 +270,9 @@ void Scheduler::Run(const std::vector<std::function<void(int)>>& bodies) {
   // resize the vector while fibers run.
   fibers_.clear();
   fibers_.reserve(n);
+  ready_.Reset(n);
   for (int i = 0; i < n; ++i) {
+    ready_.Insert(i);
     Fiber& f = fibers_.emplace_back();
     f.stack = t_stack_pool.Acquire();
 #if defined(GRAYSIM_ASAN_FIBERS)
@@ -300,7 +302,7 @@ void Scheduler::Run(const std::vector<std::function<void(int)>>& bodies) {
 
   int last = n - 1;  // round-robin starts at proc 0
   while (done_count_ < n) {
-    const int next = PickNext(last);
+    const int next = ready_.NextAfter(last);
     if (next >= 0) {
       SwitchToFiber(next);
       last = next;
@@ -327,17 +329,16 @@ void Scheduler::Run(const std::vector<std::function<void(int)>>& bodies) {
     t_stack_pool.Release(f.stack);
   }
   fibers_.clear();
+  ready_.Reset(0);
 }
 
-int Scheduler::PickNext(int from) const {
-  const int n = static_cast<int>(fibers_.size());
-  for (int k = 1; k <= n; ++k) {
-    const int j = (from + k) % n;
-    if (fibers_[j].state == State::kReady) {
-      return j;
-    }
+void Scheduler::SetState(int i, State state) {
+  fibers_[i].state = state;
+  if (state == State::kReady) {
+    ready_.Insert(i);
+  } else {
+    ready_.Erase(i);
   }
-  return -1;
 }
 
 void Scheduler::Charge(int proc, Nanos cost) {
@@ -360,8 +361,7 @@ void Scheduler::SleepUntil(int proc, Nanos deadline) {
     events_->RunDue(clock_->now());
     return;
   }
-  Fiber& f = fibers_[proc];
-  f.state = State::kSleeping;
+  SetState(proc, State::kSleeping);
   // The closure re-checks the fiber before waking it: after a crash-stop,
   // WakeAll readies every sleeper and the unwound fibers are gone, but this
   // wake event may still be pending (Recover discards the queue, yet the
@@ -371,16 +371,16 @@ void Scheduler::SleepUntil(int proc, Nanos deadline) {
   events_->ScheduleAt(deadline, EventQueue::Band::kWake, [this, proc] {
     if (static_cast<std::size_t>(proc) < fibers_.size() &&
         fibers_[proc].state == State::kSleeping) {
-      fibers_[proc].state = State::kReady;
+      SetState(proc, State::kReady);
     }
   });
   SwitchToMain(/*dying=*/false);
 }
 
 void Scheduler::WakeAll() {
-  for (Fiber& f : fibers_) {
-    if (f.state == State::kSleeping) {
-      f.state = State::kReady;
+  for (std::size_t i = 0; i < fibers_.size(); ++i) {
+    if (fibers_[i].state == State::kSleeping) {
+      SetState(static_cast<int>(i), State::kReady);
     }
   }
 }

@@ -14,7 +14,9 @@
 // schedules its own wake event (Band::kWake), and when no fiber is runnable
 // the dispatch loop advances the clock to the next pending event. Device
 // completions and background daemons therefore interleave with process
-// execution on one deterministic timeline.
+// execution on one deterministic timeline. The dispatch loop runs the ready
+// fibers round-robin in index order and finds the next one in a bitmap of
+// the ready fibers (FiberSet), a word at a time.
 //
 // Each scheduler is confined to whichever host thread calls its Run(): the
 // running-scheduler slot consulted by the fiber entry trampoline is
@@ -34,6 +36,7 @@
 #include <ucontext.h>
 #endif
 
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -43,6 +46,55 @@
 #include "src/sim/event_queue.h"
 
 namespace graysim {
+
+// A set of fiber indexes [0, n), one bit per index (bit i % 64 of word
+// i / 64; bits at or past n stay clear). NextAfter answers "the next member
+// in round-robin order" a word at a time, in the order a scan of
+// (from + 1) % n, (from + 2) % n, ..., from would find it.
+class FiberSet {
+ public:
+  // An empty set over [0, n). Allocates only when n outgrows every earlier
+  // size.
+  void Reset(int n) {
+    n_ = n;
+    words_.assign((static_cast<std::size_t>(n) + 63) / 64, 0);
+  }
+
+  void Insert(int i) { words_[i / 64] |= Bit(i); }
+  void Erase(int i) { words_[i / 64] &= ~Bit(i); }
+
+  // The first member after `from` in the cyclic order from + 1, ..., n - 1,
+  // 0, ..., from; -1 when the set is empty. `from` is in [0, n).
+  [[nodiscard]] int NextAfter(int from) const {
+    if (const int after = FirstFrom(from + 1); after < n_) {
+      return after;
+    }
+    const int first = FirstFrom(0);
+    return first < n_ ? first : -1;
+  }
+
+ private:
+  static std::uint64_t Bit(int i) { return std::uint64_t{1} << (i % 64); }
+
+  // The least member >= begin, or a value >= n_ when there is none.
+  [[nodiscard]] int FirstFrom(int begin) const {
+    std::size_t w = static_cast<std::size_t>(begin) / 64;
+    if (w >= words_.size()) {
+      return n_;
+    }
+    std::uint64_t bits = words_[w] & (~std::uint64_t{0} << (begin % 64));
+    while (bits == 0) {
+      if (++w == words_.size()) {
+        return n_;
+      }
+      bits = words_[w];
+    }
+    return static_cast<int>(w * 64) + std::countr_zero(bits);
+  }
+
+  int n_ = 0;
+  std::vector<std::uint64_t> words_;
+};
 
 class Scheduler {
  public:
@@ -113,8 +165,8 @@ class Scheduler {
   static void Trampoline();
   void FiberMain();
 
-  // Next ready fiber after `from` in round-robin order; -1 if none.
-  [[nodiscard]] int PickNext(int from) const;
+  // Moves fiber i to `state`, keeping ready_ in step.
+  void SetState(int i, State state);
 
   // Transfers control main -> fiber i / fiber current_ -> main. `dying`
   // marks the fiber's final switch-out so ASan can retire its fake stack.
@@ -127,6 +179,7 @@ class Scheduler {
   obs::TraceSink* trace_ = nullptr;
   std::vector<std::uint32_t> fiber_tracks_;  // trace track id per fiber index
   std::vector<Fiber> fibers_;
+  FiberSet ready_;  // the fibers in State::kReady
   const std::vector<std::function<void(int)>>* bodies_ = nullptr;
   Context main_ctx_{};
   void* main_fake_stack_ = nullptr;

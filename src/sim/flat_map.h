@@ -15,6 +15,7 @@
 #ifndef SRC_SIM_FLAT_MAP_H_
 #define SRC_SIM_FLAT_MAP_H_
 
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <span>
@@ -191,6 +192,27 @@ class FlatMap {
       s.value = V{};
     }
     size_ = 0;
+  }
+
+  // Clear that visits only the entries: calls fn(key, value&) for each one
+  // in ascending slot order (ForEach's order), emptying its slot. `marked`
+  // holds one bit per slot, bit i % 64 of word i / 64, set for exactly the
+  // occupied slots; it is left all clear. Costs the words of `marked` plus
+  // the entries, not the slots.
+  template <typename Fn>
+  void ClearMarked(std::span<std::uint64_t> marked, Fn&& fn) {
+    for (std::size_t w = 0; w < marked.size(); ++w) {
+      for (std::uint64_t bits = marked[w]; bits != 0; bits &= bits - 1) {
+        Slot& s = slots_[w * 64 + static_cast<std::size_t>(std::countr_zero(bits))];
+        assert(s.key != kEmptyKey);
+        fn(s.key, s.value);
+        s.key = kEmptyKey;
+        s.value = V{};
+        --size_;
+      }
+      marked[w] = 0;
+    }
+    assert(size_ == 0 && "ClearMarked: an occupied slot was not marked");
   }
 
   // --- checkpoint surface -------------------------------------------------

@@ -8,11 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <functional>
+#include <random>
 #include <string>
 #include <vector>
 
+#include "src/os/chaos_engine.h"
 #include "src/os/os.h"
 
 namespace graysim {
@@ -219,6 +222,93 @@ TEST(ChaosTest, RearmResetsTheSchedule) {
   const std::vector<bool> second = fault_pattern();
   EXPECT_EQ(first, second);
   EXPECT_TRUE(std::find(first.begin(), first.end(), true) != first.end());
+}
+
+// The jitter-burst test Os::Jittered made on every charge before the engine
+// kept the wave's current run: InWindow's comparison on now % period. Kept
+// here as the reference JitterAmplitude must match.
+double SquareWaveAmplitude(const FaultPlan& plan, Nanos now, double base) {
+  if (plan.jitter_burst_period == 0) {
+    return base;
+  }
+  const double phase = static_cast<double>(now % plan.jitter_burst_period);
+  const double period = static_cast<double>(plan.jitter_burst_period);
+  return phase < plan.jitter_burst_duty * period ? plan.jitter_burst_amplitude : base;
+}
+
+// Instants on both sides of every window edge over 30 periods, plus seeded
+// ones, asked in ascending order, then in random order, then of a fresh
+// engine (a re-arm) from the latest instant back to the earliest. Waves
+// cover duty 0, duty 1, and edges that fall between two integers.
+TEST(ChaosEngineTest, JitterAmplitudeMatchesTheSquareWave) {
+  struct Wave {
+    Nanos period;
+    double duty;
+  };
+  const Wave waves[] = {
+      {Millis(50.0), 0.4},
+      {Millis(50.0), 0.0},
+      {Millis(50.0), 1.0},
+      {7, 0.5},
+      {1000, 1.0 / 3.0},
+      {1, 0.5},
+      {3, 1.0},
+  };
+  constexpr double kBase = 0.05;
+  std::mt19937_64 rng(0x71773);
+  for (const Wave& wave : waves) {
+    SCOPED_TRACE("period " + std::to_string(wave.period) + " duty " + std::to_string(wave.duty));
+    FaultPlan plan;
+    plan.enabled = true;
+    plan.jitter_burst_period = wave.period;
+    plan.jitter_burst_duty = wave.duty;
+    plan.jitter_burst_amplitude = 0.6;
+    const double edge = wave.duty * static_cast<double>(wave.period);
+    std::vector<Nanos> instants;
+    for (Nanos k = 0; k < 30; ++k) {
+      const Nanos start = k * wave.period;
+      const Nanos below = start + static_cast<Nanos>(std::floor(edge));
+      const Nanos above = start + static_cast<Nanos>(std::ceil(edge));
+      for (const Nanos at : {start, below, above}) {
+        for (const Nanos near : {at - 1, at, at + 1}) {
+          if (near <= start + 2 * wave.period) {  // start - 1 wraps when start is 0
+            instants.push_back(near);
+          }
+        }
+      }
+    }
+    for (int i = 0; i < 3000; ++i) {
+      instants.push_back(rng() % (40 * wave.period));
+    }
+    std::vector<Nanos> ascending = instants;
+    std::sort(ascending.begin(), ascending.end());
+
+    ChaosEngine engine(plan);
+    int bursts = 0;
+    for (const Nanos t : ascending) {
+      const double amplitude = engine.JitterAmplitude(t, kBase);
+      ASSERT_EQ(amplitude, SquareWaveAmplitude(plan, t, kBase)) << "ascending, at " << t;
+      bursts += amplitude == plan.jitter_burst_amplitude ? 1 : 0;
+    }
+    for (const Nanos t : instants) {
+      ASSERT_EQ(engine.JitterAmplitude(t, kBase), SquareWaveAmplitude(plan, t, kBase))
+          << "random order, at " << t;
+    }
+    ChaosEngine rearmed(plan);
+    for (auto it = ascending.rbegin(); it != ascending.rend(); ++it) {
+      ASSERT_EQ(rearmed.JitterAmplitude(*it, kBase), SquareWaveAmplitude(plan, *it, kBase))
+          << "re-armed, descending, at " << *it;
+    }
+    const int asked = static_cast<int>(ascending.size());
+    if (wave.duty == 0.0) {
+      EXPECT_EQ(bursts, 0);
+    } else if (wave.duty == 1.0 || wave.period == 1) {  // a 1 ns period stays at phase 0
+      EXPECT_EQ(bursts, asked);
+    } else {
+      EXPECT_GT(bursts, 0);
+      EXPECT_LT(bursts, asked);
+    }
+  }
 }
 
 // The stress test the sanitizer job leans on: maximum intensity, tight

@@ -501,6 +501,133 @@ TEST(FfsTest, DirectoryIndexMatchesMapReference) {
   EXPECT_EQ(again.data(), w.data());
 }
 
+// The walk a path lookup's reads took before walks could resume: after
+// each directory's reads, resolve the path up to the next component from
+// the root again. Kept here as the reference WalkReads must match.
+template <class Read>
+void ReresolvingWalk(const Ffs& fs, std::string_view path, Read&& read) {
+  Inum cur = fs.root();
+  for (std::size_t begin = path.find_first_not_of('/'); begin != std::string_view::npos;
+       begin = path.find_first_not_of('/', begin)) {
+    const std::size_t end = std::min(path.find('/', begin), path.size());
+    std::uint64_t first = 0;
+    std::uint64_t count = 0;
+    if (fs.DirBlocks(cur, &first, &count) == FsErr::kOk) {
+      for (std::uint64_t b = first; b < first + count; ++b) {
+        read(b);
+      }
+    }
+    Inum next = kInvalidInum;
+    if (fs.Lookup(path.substr(0, end), &next) != FsErr::kOk) {
+      return;
+    }
+    cur = next;
+    begin = end;
+  }
+  read(fs.InodeBlockOf(cur));
+}
+
+// Seeded trees (the root holds over 64 entries, so its entries span two
+// blocks) and walks of existing and missing paths. From inside the walk's
+// reads, as another process would while the walk blocks, one of: a
+// directory on the path moves away and the names below it are built anew,
+// a directory on the path moves away, an unrelated file appears, or
+// nothing. Twin file systems take the same change at the same read, and
+// WalkReads must read the blocks the re-resolving walk reads.
+TEST(FfsWalkDifferentialTest, WalkReadsMatchesTheReresolvingWalk) {
+  Ffs base = MakeFs();
+  std::vector<std::string> dirs = {""};
+  std::vector<std::string> paths;
+  Rng rng(0x3a1c);
+  for (int i = 0; i < 70; ++i) {
+    const std::string path = "/f" + std::to_string(i);
+    ASSERT_EQ(base.Create(path, nullptr), FsErr::kOk);
+    paths.push_back(path);
+  }
+  for (int i = 0; i < 40; ++i) {
+    const std::string& parent = dirs[rng.Below(dirs.size())];
+    if (std::count(parent.begin(), parent.end(), '/') >= 4) {
+      continue;
+    }
+    const std::string dir = parent + "/d" + std::to_string(i);
+    ASSERT_EQ(base.Mkdir(dir, nullptr), FsErr::kOk);
+    dirs.push_back(dir);
+    paths.push_back(dir);
+    for (int f = 0; f < 3; ++f) {
+      const std::string file = dir + "/f" + std::to_string(f);
+      ASSERT_EQ(base.Create(file, nullptr), FsErr::kOk);
+      paths.push_back(file);
+    }
+  }
+  paths.push_back("/f0/under-a-file");
+  paths.push_back("/missing/f0");
+  paths.push_back("//d0///f1/");
+
+  // Builds the names of `path` from the one ending at `cut` anew:
+  // directories, then the final component as a file unless it was a
+  // directory.
+  auto rebuild = [](Ffs& fs, const std::string& path, std::size_t cut, bool leaf_is_dir) {
+    for (std::size_t slash = cut; slash != std::string::npos; slash = path.find('/', slash + 1)) {
+      (void)fs.Mkdir(path.substr(0, slash), nullptr);
+    }
+    (void)(leaf_is_dir ? fs.Mkdir(path, nullptr) : fs.Create(path, nullptr));
+  };
+  int walks = 0;
+  int moved_mid_walk = 0;
+  for (int round = 0; round < 400; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    Ffs subject = base;
+    Ffs reference = base;
+    const std::string path = paths[rng.Below(paths.size())];
+    InodeAttr attr;
+    const bool leaf_is_dir = base.GetAttrPath(path, &attr) == FsErr::kOk && attr.is_dir;
+    const std::uint64_t at_read = rng.Below(6);
+    const std::uint64_t change = rng.Below(4);
+    // A directory on the path (a proper prefix), when it has one.
+    std::size_t cut = std::string::npos;
+    for (std::size_t slash = path.find('/', 1); slash != std::string::npos;
+         slash = path.find('/', slash + 1)) {
+      if (slash > 1 && rng.Below(2) == 0) {
+        cut = slash;
+        break;
+      }
+    }
+    const std::string moved = "/moved" + std::to_string(round);
+    auto change_at = [&](Ffs& fs, std::uint64_t read_index) {
+      if (read_index != at_read) {
+        return;
+      }
+      if (change == 3) {
+        (void)fs.Create("/unrelated" + std::to_string(round), nullptr);
+        return;
+      }
+      if (change == 0 || cut == std::string::npos) {
+        return;
+      }
+      if (fs.Rename(path.substr(0, cut), moved) == FsErr::kOk && change == 1) {
+        rebuild(fs, path, cut, leaf_is_dir);
+      }
+    };
+    std::vector<std::uint64_t> got;
+    std::vector<std::uint64_t> want;
+    subject.WalkReads(path, [&](std::uint64_t block) {
+      got.push_back(block);
+      change_at(subject, got.size() - 1);
+    });
+    ReresolvingWalk(reference, path, [&](std::uint64_t block) {
+      want.push_back(block);
+      change_at(reference, want.size() - 1);
+    });
+    ASSERT_EQ(got, want) << "walk of " << path;
+    ++walks;
+    if ((change == 1 || change == 2) && cut != std::string::npos && at_read + 1 < want.size()) {
+      ++moved_mid_walk;
+    }
+  }
+  EXPECT_EQ(walks, 400);
+  EXPECT_GT(moved_mid_walk, 40) << "too few walks saw their path move under them";
+}
+
 TEST(FfsTest, SetTimesRoundTrips) {
   Ffs fs = MakeFs();
   Inum inum = kInvalidInum;

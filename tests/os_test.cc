@@ -356,6 +356,86 @@ TEST(OsTest, RenameDropsTheTargetsPagesWrittenDuringItsWalk) {
   EXPECT_FALSE(os.PageResidentPath("/d0/a/new", 0));
 }
 
+// A stat whose walk blocks on /d0/a's cold directory block while another
+// process moves /d0/a away. The walk must then resolve /a/b from the root
+// again, as the walk that re-resolved every prefix did, find it gone and
+// stop: two metadata reads, the root's block (warm) and /d0/a's (cold).
+// Stepping on from the moved directory would read b's block and f's inode
+// block too. The reference's reads are exactly those of a stat of /d0/a,
+// whose inode block is /d0/a's one directory block, so a twin machine that
+// stats /d0/a under the same race gives the reference's charged time.
+TEST(OsTest, WalkThatBlocksReresolvesAfterARenameOnItsPath) {
+  struct Outcome {
+    int rc = -1;
+    Inum inum = kInvalidInum;
+    Nanos elapsed = 0;
+    std::uint64_t meta_reads = 0;
+    std::uint64_t misses = 0;
+  };
+  auto race = [](std::string_view stat_path) {
+    Os os(PlatformProfile::Linux22());
+    const Pid pid = os.default_pid();
+    EXPECT_EQ(os.Mkdir(pid, "/d0/c"), 0);
+    EXPECT_EQ(os.Mkdir(pid, "/d0/a"), 0);
+    EXPECT_EQ(os.Mkdir(pid, "/d0/a/b"), 0);
+    EXPECT_EQ(os.Close(pid, os.Creat(pid, "/d0/a/b/f")), 0);
+    os.FlushFileCache();
+    InodeAttr c;
+    EXPECT_EQ(os.Stat(pid, "/d0/c", &c), 0);  // warms the root's directory block
+    Inum a = kInvalidInum;
+    EXPECT_EQ(os.fs(0).Lookup("/a", &a), FsErr::kOk);
+    std::uint64_t first = 0;
+    std::uint64_t count = 0;
+    EXPECT_EQ(os.fs(0).DirBlocks(a, &first, &count), FsErr::kOk);
+    EXPECT_EQ(first, os.fs(0).InodeBlockOf(a));
+    EXPECT_EQ(count, 1u);
+
+    Outcome out;
+    const OsStats before = os.stats();
+    os.RunProcesses({
+        [&](Pid p) {
+          const Nanos start = os.Now();
+          InodeAttr attr;
+          out.rc = os.Stat(p, stat_path, &attr);
+          out.inum = attr.inum;
+          out.elapsed = os.Now() - start;
+        },
+        [&](Pid p) {
+          os.Sleep(p, 1000);  // lands inside the stat's cold read of /d0/a's block
+          EXPECT_EQ(os.fs_mutable(0).Rename("/a", "/z"), FsErr::kOk);
+        },
+    });
+    out.misses = os.stats().cache_misses - before.cache_misses;
+    out.meta_reads = os.stats().cache_hits - before.cache_hits + out.misses;
+    return out;
+  };
+  const Outcome walk = race("/d0/a/b/f");
+  const Outcome reference = race("/d0/a");
+  EXPECT_EQ(walk.rc, 0);
+  EXPECT_NE(walk.inum, kInvalidInum);
+  EXPECT_EQ(walk.meta_reads, 2u);
+  EXPECT_EQ(walk.misses, 1u);
+  EXPECT_EQ(reference.meta_reads, 2u);
+  EXPECT_EQ(walk.elapsed, reference.elapsed);
+  EXPECT_GT(walk.elapsed, Micros(100.0)) << "the walk never waited for the disk";
+}
+
+// Disk numbers are parsed digit by digit against the disk count, so no
+// number of digits overflows into a disk that exists: 4294967296 is 2^32,
+// which a 32-bit accumulator would have wrapped to disk 0.
+TEST(OsTest, DiskNumbersPastTheLastDiskAreRejected) {
+  Os os(PlatformProfile::Linux22());
+  const Pid pid = os.default_pid();
+  ASSERT_EQ(os.Close(pid, os.Creat(pid, "/d0/f")), 0);
+  InodeAttr attr;
+  ASSERT_EQ(os.Stat(pid, "/d0/f", &attr), 0);
+  const int invalid = -static_cast<int>(FsErr::kInvalid);
+  EXPECT_EQ(os.Stat(pid, "/d4294967296/f", &attr), invalid);
+  EXPECT_EQ(os.Stat(pid, "/d" + std::string(30, '9') + "/f", &attr), invalid);
+  EXPECT_EQ(os.Stat(pid, "/d000000000000000000000000000000/f", &attr), 0);
+  EXPECT_EQ(os.Open(pid, "/d18446744073709551616/f"), invalid);
+}
+
 TEST(OsTest, StatReportsInumAndTimes) {
   Os os(PlatformProfile::Linux22());
   const Pid pid = os.default_pid();

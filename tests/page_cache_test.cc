@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <random>
 #include <string>
 #include <vector>
@@ -171,7 +172,9 @@ struct CacheRig {
       : mem(MemSystem::Config{frames, MemPolicy::kUnifiedLru, 0}),
         cache(&mem),
         handler([this](const Page& page) {
-          (void)cache.OnEvicted(page);
+          if (page.kind == PageKind::kFile) {
+            (void)cache.OnEvicted(page);
+          }
           return Nanos{0};
         }) {
     mem.set_evict_handler(&handler);
@@ -413,6 +416,96 @@ TEST(PageCacheDropDifferentialTest, FsyncTakesTheChainWalksPageSet) {
   }
   EXPECT_GT(span_fsyncs, 300);
   EXPECT_GT(chain_fsyncs, 300);
+}
+
+// The cache flush PageCache made before it found the pages through the file
+// LRU list: a pass over every page-table slot, then a clear of every slot.
+// Kept here as the reference DropAll must reproduce exactly.
+void FullScanDropAll(CacheRig& rig, std::vector<std::pair<Inum, std::uint64_t>>* dirty_dropped) {
+  FlatMap<FrameId>& pages = rig.cache.pages_map_mutable();
+  pages.ForEach([&](std::uint64_t key, FrameId ref) {
+    if (rig.mem.frames().dirty(ref)) {
+      dirty_dropped->emplace_back(KeyInum(key), KeyPage(key));
+    }
+    rig.mem.Remove(ref);
+  });
+  pages.Clear();
+  rig.cache.files_mutable().Clear();
+  rig.cache.RestoreDirtyList(DirtyList{});
+}
+
+// Seeded inserts (dirty and clean), touches, write-behind, per-file drops
+// and anonymous pages on twin caches; then one flushes with DropAll and the
+// other with the whole-table pass, three times over with more work in
+// between. The flushes must report the same dirty pages in the same order
+// and leave the same machine state: an empty page table of the same
+// capacity, an empty file LRU list, and the same frame free list, with the
+// anonymous pages' frames left where they were. Pools of 300 and 1,000
+// frames hold a few hundred resident pages; a 64-frame pool has every
+// frame in use at each flush. Inums with the kernel's pseudo-file tags
+// (metadata blocks, antagonist and shock pages) are cached beside ordinary
+// files.
+TEST(PageCacheDropDifferentialTest, DropAllMatchesTheWholeTablePass) {
+  const Inum kInums[] = {1, 2, 3, 17, 0x00FFFFFF, 0x00FFFFFE, 0x00FFFFFD, 0x01FFFFFF, 0x01000005};
+  int full_flushes = 0;
+  for (const std::uint64_t frames : {64, 300, 1000}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE("frames " + std::to_string(frames) + " seed " + std::to_string(seed));
+      CacheRig subject(frames);
+      CacheRig reference(frames);
+      std::mt19937_64 rng(seed * 0x2545F4914F6CDD1DULL + frames);
+      auto pick = [&rng](std::uint64_t n) { return rng() % n; };
+      std::uint64_t next_vpn = 1;
+      for (int flush = 0; flush < 3; ++flush) {
+        for (std::uint64_t op = 0; op < 3 * frames; ++op) {
+          const Inum inum = kInums[pick(std::size(kInums))];
+          const std::uint64_t page = pick(frames);
+          const std::uint64_t kind = pick(100);
+          Nanos cost = 0;
+          if (kind < 65) {
+            const bool dirty = pick(3) == 0;
+            ASSERT_EQ(subject.cache.Insert(inum, page, dirty, &cost),
+                      reference.cache.Insert(inum, page, dirty, &cost));
+          } else if (kind < 78) {
+            ASSERT_EQ(subject.cache.Access(inum, page), reference.cache.Access(inum, page));
+          } else if (kind < 88) {
+            if (subject.mem.anon_pages() >= frames / 5) {
+              continue;  // leave most frames to the cache
+            }
+            const Page anon{PageKind::kAnon, 7, next_vpn++, false};
+            ASSERT_EQ(subject.mem.Insert(anon, &cost), reference.mem.Insert(anon, &cost));
+          } else if (kind < 97) {
+            std::vector<std::pair<Inum, std::uint64_t>> ignored;
+            subject.cache.TakeOldestDirty(1, &ignored);
+            reference.cache.TakeOldestDirty(1, &ignored);
+          } else {
+            subject.cache.DropFile(inum);
+            reference.cache.DropFile(inum);
+          }
+        }
+        ASSERT_EQ(FirstDifference(subject, reference), "");
+        full_flushes += subject.mem.free_pages() == 0 ? 1 : 0;
+        const std::size_t capacity = subject.cache.pages_map().slot_count();
+        const std::uint64_t resident = subject.cache.resident_pages();
+        std::vector<std::pair<Inum, std::uint64_t>> dropped;
+        std::vector<std::pair<Inum, std::uint64_t>> expected;
+        subject.cache.DropAll(&dropped);
+        FullScanDropAll(reference, &expected);
+        ASSERT_EQ(dropped, expected) << "flush " << flush;
+        ASSERT_EQ(FirstDifference(subject, reference), "") << "flush " << flush;
+        EXPECT_EQ(subject.cache.resident_pages(), 0u);
+        EXPECT_EQ(subject.cache.pages_map().slot_count(), capacity);
+        EXPECT_EQ(subject.mem.file_pages(), 0u);
+        EXPECT_EQ(subject.mem.free_pages(), reference.mem.free_pages());
+        EXPECT_TRUE(subject.mem.file_lru().empty());
+        if (frames > 64) {
+          EXPECT_GT(resident, 100u) << "flush " << flush;
+        }
+        EXPECT_FALSE(expected.empty()) << "no dirty page reached the flush";
+      }
+    }
+  }
+  EXPECT_GE(full_flushes, 9) << "the 64-frame pool was not full at its flushes";
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <functional>
 #include <iterator>
 #include <numeric>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -254,6 +255,145 @@ TEST_P(SchedulerScaling, ManyProcessesAllFinishDeterministically) {
 }
 
 INSTANTIATE_TEST_SUITE_P(ProcCounts, SchedulerScaling, ::testing::Values(1, 2, 4, 8, 16));
+
+// The round-robin scan the scheduler's dispatch loop made before it kept a
+// ready set: the first ready index among (from + 1) % n, (from + 2) % n,
+// ..., from. Kept here as the reference the ready set must reproduce.
+int ScanNextReady(const std::vector<bool>& ready, int from) {
+  const int n = static_cast<int>(ready.size());
+  for (int k = 1; k <= n; ++k) {
+    const int j = (from + k) % n;
+    if (ready[static_cast<std::size_t>(j)]) {
+      return j;
+    }
+  }
+  return -1;
+}
+
+constexpr int kFiberCounts[] = {1, 63, 64, 65, 80, 129};
+
+// Seeded ready sets, from empty to full, for fiber counts on both sides of
+// a word boundary, and NextAfter from every index. Each set is built by
+// inserts and then erases, on a FiberSet reused across sizes.
+TEST(FiberSetTest, NextAfterMatchesTheRoundRobinScan) {
+  std::mt19937_64 rng(0x5eed);
+  FiberSet set;
+  int checks = 0;
+  for (const int n : kFiberCounts) {
+    for (int trial = 0; trial <= 40; ++trial) {
+      const std::uint64_t per_mille = static_cast<std::uint64_t>(trial) * 25;  // 0 .. 1000
+      set.Reset(n);
+      std::vector<bool> ready(static_cast<std::size_t>(n), false);
+      for (int i = 0; i < n; ++i) {
+        if (rng() % 1000 < per_mille) {
+          set.Insert(i);
+          ready[static_cast<std::size_t>(i)] = true;
+        }
+      }
+      for (int i = 0; i < n; ++i) {
+        if (rng() % 8 == 0) {
+          set.Erase(i);
+          ready[static_cast<std::size_t>(i)] = false;
+        }
+      }
+      for (int from = 0; from < n; ++from) {
+        ASSERT_EQ(set.NextAfter(from), ScanNextReady(ready, from))
+            << "n " << n << " trial " << trial << " from " << from;
+        ++checks;
+      }
+    }
+  }
+  EXPECT_EQ(checks, 41 * (1 + 63 + 64 + 65 + 80 + 129));
+}
+
+// Dispatch order through Run: seeded fibers charge, yield, sleep, wake
+// every sleeper and finish, and each dispatch must pick the fiber the scan
+// picks from the ready set at that instant. The test derives that set from
+// what the fibers did. A sleeper is ready again once a wake event it
+// scheduled after it fell asleep is due: its own, or a stale one left by an
+// earlier sleep that a WakeAll cut short, which the scheduler honours too.
+// A WakeAll readies every sleeper at once. The slice is longer than any
+// run of charges, so only Yield, Sleep and finishing switch fibers, and
+// every resumption in a body is a dispatch.
+TEST(SchedulerTest, DispatchOrderMatchesTheRoundRobinScan) {
+  struct Model {
+    bool done = false;
+    bool asleep = false;
+    Nanos slept_at = 0;
+    std::vector<Nanos> wakes;  // every wake event the fiber scheduled
+  };
+  int fibers = 0;
+  int dispatches = 0;
+  int stale_wakes = 0;
+  for (const int n : kFiberCounts) {
+    SCOPED_TRACE("fibers " + std::to_string(n));
+    SimClock clock;
+    EventQueue events(kTieSeed);
+    Scheduler sched(&clock, &events, Seconds(1000.0));
+    std::vector<Model> model(static_cast<std::size_t>(n));
+    std::mt19937_64 rng(static_cast<std::uint64_t>(n));
+    int last = n - 1;
+    auto ready_now = [&clock](const Model& m) {
+      if (m.done) {
+        return false;
+      }
+      if (!m.asleep) {
+        return true;
+      }
+      for (const Nanos t : m.wakes) {
+        if (t > m.slept_at && t <= clock.now()) {
+          return true;
+        }
+      }
+      return false;
+    };
+    auto on_dispatch = [&](int me) {
+      std::vector<bool> ready;
+      for (const Model& m : model) {
+        ready.push_back(ready_now(m));
+      }
+      EXPECT_EQ(me, ScanNextReady(ready, last)) << "dispatch " << dispatches;
+      Model& m = model[static_cast<std::size_t>(me)];
+      if (m.asleep && m.wakes.back() > clock.now()) {
+        ++stale_wakes;
+      }
+      m.asleep = false;
+      last = me;
+      ++dispatches;
+    };
+    auto body = [&](int me) {
+      on_dispatch(me);
+      Model& m = model[static_cast<std::size_t>(me)];
+      const std::uint64_t steps = 1 + rng() % 10;
+      for (std::uint64_t step = 0; step < steps; ++step) {
+        const std::uint64_t action = rng() % 20;
+        if (action < 5) {
+          sched.Charge(me, 1 + rng() % 40);
+        } else if (action < 8) {
+          sched.Yield(me);
+          on_dispatch(me);
+        } else if (action < 18) {
+          const Nanos deadline = clock.now() + 1 + rng() % 400;
+          m.asleep = true;
+          m.slept_at = clock.now();
+          m.wakes.push_back(deadline);
+          sched.SleepUntil(me, deadline);
+          on_dispatch(me);
+        } else {
+          for (Model& other : model) {
+            other.asleep = false;
+          }
+          sched.WakeAll();
+        }
+      }
+      m.done = true;
+    };
+    sched.Run(std::vector<std::function<void(int)>>(static_cast<std::size_t>(n), body));
+    fibers += n;
+  }
+  EXPECT_GT(dispatches, 3 * fibers);
+  EXPECT_GT(stale_wakes, 10) << "too few fibers woke on a wake a WakeAll left behind";
+}
 
 // A fiber's stack is the mapping holding its locals, and the page directly
 // below that mapping is an inaccessible guard (a `---p` entry of
