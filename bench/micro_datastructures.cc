@@ -269,6 +269,23 @@ LoopResult BenchStatPath() {
   return TimeLoop(1'000'000, [&](std::uint64_t) { (void)os.Stat(pid, path, &attr); });
 }
 
+// Os::Creat + Close + Unlink of /d0/dir/f on a warm machine: the path
+// syscalls that change the namespace (a lookup that stops at the leaf, the
+// entry added and the record re-stamped, the walk, the inode block dirtied,
+// then the entry removed and the directory index rebuilt), with no disk I/O.
+LoopResult BenchCreateUnlink() {
+  graysim::Os os(PlatformProfile::Linux22());
+  const graysim::Pid pid = os.default_pid();
+  (void)os.Mkdir(pid, "/d0/dir");
+  const std::string path = "/d0/dir/f";
+  const auto create_unlink = [&](std::uint64_t) {
+    (void)os.Close(pid, os.Creat(pid, path));
+    (void)os.Unlink(pid, path);
+  };
+  create_unlink(0);
+  return TimeLoop(500'000, create_unlink);
+}
+
 // One dispatch among 80 fibers, 79 of them asleep on wake events, as in a
 // load_steady replay: fiber 0 yields and the dispatch loop picks it again.
 // The ready set finds it a word at a time; a scan of every fiber's state
@@ -539,7 +556,8 @@ int main() {
   }
 
   Report(json, "fiber_switch", BenchFiberSwitch());
-  Report(json, "stat_path", BenchStatPath());
+  Report(json, "stat_path", BenchStatPath(), "allocs");
+  Report(json, "create_unlink", BenchCreateUnlink(), "allocs");
 
   BenchSnapshotFork(json);
   BenchMachineAllocs(json);

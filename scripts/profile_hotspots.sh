@@ -15,6 +15,16 @@
 # .bench_build/profile/flat.txt and callgraph.txt. Nothing under perfbench/
 # changes, and the benchmark's own build in .bench_build/perfbench is left
 # alone.
+#
+# What gprof cannot see: shared libraries are not built with -pg, so time in
+# libc and libstdc++ (memset and memcpy, malloc and free, std::_Hash_bytes
+# behind std::hash) is missing from the flat profile, whose percentages are
+# of the program's own code only. In a PC-sampled (SIGPROF) profile of the
+# benchmark's own RelWithDebInfo+LTO build of load_steady, those libraries
+# held about 12% of the samples. And the mcount call -pg adds to every
+# function costs time of its own, so small functions called millions of
+# times (a hash probe, one lookup step) rank higher here than in the LTO
+# build, which inlines many of them away.
 set -euo pipefail
 
 workload=load_steady
@@ -25,7 +35,7 @@ while [ $# -gt 0 ]; do
     --workload) workload="$2"; shift 2 ;;
     --seed) seed="$2"; shift 2 ;;
     --seconds) seconds="$2"; shift 2 ;;
-    -h | --help) sed -n '2,17p' "$0"; exit 0 ;;
+    -h | --help) sed -n '2,27p' "$0"; exit 0 ;;
     *) echo "profile_hotspots.sh: unknown argument '$1'" >&2; exit 2 ;;
   esac
 done

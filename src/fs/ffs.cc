@@ -44,7 +44,7 @@ Ffs::Ffs(FsParams params, std::uint64_t disk_capacity_bytes) : params_(params) {
       (params_.inodes_per_cg + inodes_per_block - 1) / inodes_per_block;
 
   groups_.resize(cg_count);
-  inodes_.slots = cg_count * params_.inodes_per_cg + 1;
+  inodes_.Reset(cg_count * params_.inodes_per_cg + 1);
   for (std::uint64_t c = 0; c < cg_count; ++c) {
     CylGroup& cg = groups_[c];
     cg.first_block = c * params_.blocks_per_cg;
@@ -66,21 +66,11 @@ Ffs::Ffs(FsParams params, std::uint64_t disk_capacity_bytes) : params_(params) {
 
 namespace {
 
-// Removes the next component of `*rest` and returns it: the run of
-// non-slash characters after any leading slashes. Empty when none is left.
-std::string_view NextComponent(std::string_view* rest) {
-  const std::size_t start = std::min(rest->find_first_not_of('/'), rest->size());
-  const std::size_t end = std::min(rest->find('/', start), rest->size());
-  const std::string_view comp = rest->substr(start, end - start);
-  rest->remove_prefix(end);
-  return comp;
-}
-
 // True when the components of `dir` begin those of `path`: `path` names `dir`
 // or something beneath it.
 bool IsWithin(std::string_view path, std::string_view dir) {
-  for (std::string_view d = NextComponent(&dir); !d.empty(); d = NextComponent(&dir)) {
-    if (NextComponent(&path) != d) {
+  for (std::string_view d = NextPathComponent(&dir); !d.empty(); d = NextPathComponent(&dir)) {
+    if (NextPathComponent(&path) != d) {
       return false;
     }
   }
@@ -88,17 +78,6 @@ bool IsWithin(std::string_view path, std::string_view dir) {
 }
 
 }  // namespace
-
-FsErr Ffs::ResolveInum(std::string_view path, Inum* out) const {
-  Inum cur = root_;
-  for (std::string_view comp = NextComponent(&path); !comp.empty(); comp = NextComponent(&path)) {
-    if (const FsErr err = LookupChild(cur, comp, &cur); err != FsErr::kOk) {
-      return err;
-    }
-  }
-  *out = cur;
-  return FsErr::kOk;
-}
 
 FsErr Ffs::LookupChild(Inum dir, std::string_view name, Inum* out) const {
   const Inode* node = Get(dir);
@@ -114,39 +93,6 @@ FsErr Ffs::LookupChild(Inum dir, std::string_view name, Inum* out) const {
   }
   *out = child->inum;
   return FsErr::kOk;
-}
-
-FsErr Ffs::ResolveParent(std::string_view path, Inum* parent, std::string_view* leaf) const {
-  std::string_view comp = NextComponent(&path);
-  if (comp.empty()) {
-    return FsErr::kInvalid;
-  }
-  Inum cur = root_;
-  for (std::string_view next = NextComponent(&path); !next.empty(); next = NextComponent(&path)) {
-    if (const FsErr err = LookupChild(cur, comp, &cur); err != FsErr::kOk) {
-      return err;
-    }
-    comp = next;
-  }
-  const Inode* pnode = Get(cur);
-  if (pnode == nullptr || !pnode->is_dir) {
-    return FsErr::kNotDir;
-  }
-  *parent = cur;
-  *leaf = comp;
-  return FsErr::kOk;
-}
-
-const Ffs::Inode* Ffs::Get(Inum inum) const {
-  if (inum == kInvalidInum || inum >= inodes_.slots) {
-    return nullptr;
-  }
-  const std::uint32_t* record = inodes_.record_of.Find(inum);
-  return record == nullptr ? nullptr : &inodes_.records[*record];
-}
-
-Ffs::Inode* Ffs::Get(Inum inum) {
-  return const_cast<Inode*>(static_cast<const Ffs*>(this)->Get(inum));
 }
 
 // --- inode allocation ---
@@ -195,21 +141,48 @@ void Ffs::FreeInode(Inum inum) {
   blocks.clear();
   *node = Inode{};
   node->blocks = std::move(blocks);
-  inodes_.free_records.push_back(*inodes_.record_of.Find(inum));
-  inodes_.record_of.Erase(inum);
+  inodes_.Remove(inum);
+}
+
+void Ffs::InodeTable::Reset(std::uint64_t slot_count) {
+  records.clear();
+  free_records.clear();
+  index.clear();
+  runs = 0;
+  slots = slot_count;
 }
 
 Ffs::Inode& Ffs::InodeTable::Add(Inum inum) {
-  std::uint32_t index = 0;
+  std::uint32_t record = 0;
   if (free_records.empty()) {
-    index = static_cast<std::uint32_t>(records.size());
+    record = static_cast<std::uint32_t>(records.size());
     records.emplace_back();
   } else {
-    index = free_records.back();
+    record = free_records.back();
     free_records.pop_back();
   }
-  record_of.Put(inum, index);
-  return records[index];
+  const std::size_t run = inum / kPageInums;
+  if (run >= runs) {
+    // Extends the directory to `run`: the pages after it move up.
+    const std::size_t added = run + 1 - runs;
+    index.insert(index.begin() + static_cast<std::ptrdiff_t>(runs), added, 0);
+    for (std::size_t r = 0; r < runs; ++r) {
+      index[r] += index[r] == 0 ? 0 : static_cast<std::uint32_t>(added);
+    }
+    runs += added;
+  }
+  if (index[run] == 0) {
+    index[run] = static_cast<std::uint32_t>(index.size());
+    index.resize(index.size() + kPageInums, 0);  // no inum of the run lives yet
+  }
+  index[index[run] + inum % kPageInums] = record + 1;
+  return records[record];
+}
+
+void Ffs::InodeTable::Remove(Inum inum) {
+  std::uint32_t& entry = index[index[inum / kPageInums] + inum % kPageInums];
+  free_records.push_back(entry - 1);
+  entry = 0;
 }
 
 // --- directory index ---
@@ -218,13 +191,9 @@ namespace {
 
 constexpr std::uint64_t kPosMask = 0xFFFFFFFFULL;
 
-std::uint64_t NameHash(std::string_view name) {
-  return std::hash<std::string_view>{}(name) >> 32;
-}
-
 // The slot for entry `pos` whose name hashes to `hash`.
-std::uint64_t IndexSlot(std::uint64_t hash, std::size_t pos) {
-  return (hash << 32) | (static_cast<std::uint64_t>(pos) + 1);
+std::uint64_t IndexSlot(std::uint32_t hash, std::size_t pos) {
+  return (static_cast<std::uint64_t>(hash) << 32) | (static_cast<std::uint64_t>(pos) + 1);
 }
 
 // Places `slot` in the first empty position of its probe sequence.
@@ -239,14 +208,12 @@ void Place(std::vector<std::uint64_t>& index, std::uint64_t slot) {
 
 }  // namespace
 
-const Ffs::Child* Ffs::FindChild(const Inode& dir, std::string_view name) {
+const Ffs::Child* Ffs::FindChild(const Inode& dir, std::string_view name, std::uint32_t hash) {
   if (dir.index.empty()) {
     return nullptr;
   }
-  const std::uint64_t hash = NameHash(name);
   const std::size_t mask = dir.index.size() - 1;
-  for (std::size_t i = static_cast<std::size_t>(hash) & mask; dir.index[i] != 0;
-       i = (i + 1) & mask) {
+  for (std::size_t i = hash & mask; dir.index[i] != 0; i = (i + 1) & mask) {
     const std::uint64_t slot = dir.index[i];
     if ((slot >> 32) == hash) {
       const Child& c = dir.entries[(slot & kPosMask) - 1];
@@ -258,14 +225,15 @@ const Ffs::Child* Ffs::FindChild(const Inode& dir, std::string_view name) {
   return nullptr;
 }
 
-void Ffs::AddChild(Inode& dir, std::string_view name, Inum inum) {
+void Ffs::AddChild(Inode& dir, std::string_view name, Inum inum, std::uint32_t record) {
   ++namespace_generation_;
-  dir.entries.push_back(Child{std::string(name), inum});
+  const std::uint32_t hash = NameHash(name);
+  dir.entries.push_back(Child{std::string(name), inum, hash, record});
   if (dir.entries.size() * 2 > dir.index.size()) {
     (void)IndexChildren(dir);  // grows the table; names are unique here
     return;
   }
-  Place(dir.index, IndexSlot(NameHash(name), dir.entries.size() - 1));
+  Place(dir.index, IndexSlot(hash, dir.entries.size() - 1));
 }
 
 void Ffs::RemoveChild(Inode& dir, std::string_view name) {
@@ -284,11 +252,11 @@ bool Ffs::IndexChildren(Inode& dir) {
   }
   dir.index.assign(dir.entries.empty() ? 0 : size, 0);
   for (std::size_t pos = 0; pos < dir.entries.size(); ++pos) {
-    const std::string_view name = dir.entries[pos].name;
-    if (FindChild(dir, name) != nullptr) {
+    const Child& c = dir.entries[pos];
+    if (FindChild(dir, c.name, c.hash) != nullptr) {
       return false;
     }
-    Place(dir.index, IndexSlot(NameHash(name), pos));
+    Place(dir.index, IndexSlot(c.hash, pos));
   }
   return true;
 }
@@ -412,218 +380,260 @@ std::uint32_t Ffs::PickDirCg() {
 
 // --- namespace operations ---
 
-FsErr Ffs::Lookup(std::string_view path, Inum* out) const { return ResolveInum(path, out); }
+FsErr Ffs::Lookup(std::string_view path, PathLookup* out) const {
+  out->path = path;
+  out->generation = namespace_generation_;
+  out->err = FsErr::kOk;
+  PathLookup::Node cur{root_, RecordOf(root_)};
+  std::uint32_t i = 0;
+  for (std::string_view comp = NextPathComponent(&path); !comp.empty();
+       comp = NextPathComponent(&path), ++i) {
+    if (i < PathLookup::kNodes) {
+      out->nodes[i] = cur;
+    }
+    out->parent = cur;
+    out->leaf = comp;
+    const Inode& dir = inodes_.records[cur.record];
+    const Child* child = dir.is_dir ? FindChild(dir, comp) : nullptr;
+    if (child == nullptr) {
+      out->err = dir.is_dir ? FsErr::kNotFound : FsErr::kNotDir;
+      break;
+    }
+    cur = {child->inum, child->record};
+  }
+  out->resolved = i;
+  if (out->err != FsErr::kOk) {
+    std::uint32_t components = i + 1;
+    while (!NextPathComponent(&path).empty()) {
+      ++components;
+    }
+    out->components = components;
+    return out->err;
+  }
+  out->components = i;
+  out->target = cur;
+  if (i < PathLookup::kNodes) {
+    out->nodes[i] = cur;
+  }
+  return FsErr::kOk;
+}
 
-FsErr Ffs::Create(std::string_view path, Inum* out) {
-  Inum parent = kInvalidInum;
-  std::string_view leaf;
-  if (const FsErr err = ResolveParent(path, &parent, &leaf); err != FsErr::kOk) {
+FsErr Ffs::AddEntry(PathLookup* rec, bool is_dir, Inum* out) {
+  if (!Holds(*rec)) {
+    (void)Lookup(rec->path, rec);
+  }
+  if (const FsErr err = rec->ParentErr(); err != FsErr::kOk) {
     return err;
   }
-  Inode* pnode = Get(parent);
-  if (FindChild(*pnode, leaf) != nullptr) {
+  if (rec->err == FsErr::kOk) {
     return FsErr::kExists;
   }
-  const Inum inum = AllocInode(pnode->cg, /*is_dir=*/false);
+  const std::uint32_t parent = rec->parent.record;
+  const Inum inum = AllocInode(is_dir ? PickDirCg() : inodes_.records[parent].cg, is_dir);
   if (inum == kInvalidInum) {
     return FsErr::kNoSpace;
   }
-  pnode = Get(parent);  // AllocInode may grow the record slab
-  AddChild(*pnode, leaf, inum);
-  pnode->size = pnode->entries.size() * 64;
-  pnode->mtime = now_hint_;
+  const PathLookup::Node added{inum, RecordOf(inum)};
+  Inode& pnode = inodes_.records[parent];  // AllocInode may grow the record slab
+  AddChild(pnode, rec->leaf, inum, added.record);
+  pnode.size = pnode.entries.size() * 64;
+  pnode.mtime = now_hint_;
+  // The one change since the record held is the leaf's new entry, so the
+  // path now names the new inode and nothing else on it moved.
+  rec->generation = namespace_generation_;
+  rec->err = FsErr::kOk;
+  rec->resolved = rec->components;
+  rec->target = added;
+  if (rec->components < PathLookup::kNodes) {
+    rec->nodes[rec->components] = rec->target;
+  }
   if (out != nullptr) {
     *out = inum;
   }
   return FsErr::kOk;
 }
 
-FsErr Ffs::Mkdir(std::string_view path, Inum* out) {
-  Inum parent = kInvalidInum;
-  std::string_view leaf;
-  if (const FsErr err = ResolveParent(path, &parent, &leaf); err != FsErr::kOk) {
-    return err;
-  }
-  Inode* pnode = Get(parent);
-  if (FindChild(*pnode, leaf) != nullptr) {
-    return FsErr::kExists;
-  }
-  const Inum inum = AllocInode(PickDirCg(), /*is_dir=*/true);
-  if (inum == kInvalidInum) {
-    return FsErr::kNoSpace;
-  }
-  pnode = Get(parent);
-  AddChild(*pnode, leaf, inum);
-  pnode->size = pnode->entries.size() * 64;
-  pnode->mtime = now_hint_;
-  if (out != nullptr) {
-    *out = inum;
-  }
-  return FsErr::kOk;
+FsErr Ffs::Create(PathLookup* rec, Inum* out) { return AddEntry(rec, /*is_dir=*/false, out); }
+
+FsErr Ffs::Mkdir(PathLookup* rec, Inum* out) { return AddEntry(rec, /*is_dir=*/true, out); }
+
+FsErr Ffs::Unlink(const PathLookup& rec, Inum* freed) {
+  return WithCurrent(rec, [&](const PathLookup& cur) {
+    if (const FsErr err = cur.ParentErr(); err != FsErr::kOk) {
+      return err;
+    }
+    if (cur.err != FsErr::kOk) {
+      return cur.err;
+    }
+    if (inodes_.records[cur.target.record].is_dir) {
+      return FsErr::kIsDir;
+    }
+    if (freed != nullptr) {
+      *freed = cur.target.inum;
+    }
+    FreeInode(cur.target.inum);
+    Inode& pnode = inodes_.records[cur.parent.record];
+    RemoveChild(pnode, cur.leaf);
+    pnode.size = pnode.entries.size() * 64;
+    pnode.mtime = now_hint_;
+    return FsErr::kOk;
+  });
 }
 
-FsErr Ffs::Unlink(std::string_view path, Inum* freed) {
-  Inum parent = kInvalidInum;
-  std::string_view leaf;
-  if (const FsErr err = ResolveParent(path, &parent, &leaf); err != FsErr::kOk) {
-    return err;
-  }
-  Inode* pnode = Get(parent);
-  const Child* child = FindChild(*pnode, leaf);
-  if (child == nullptr) {
-    return FsErr::kNotFound;
-  }
-  if (Get(child->inum)->is_dir) {
-    return FsErr::kIsDir;
-  }
-  if (freed != nullptr) {
-    *freed = child->inum;
-  }
-  FreeInode(child->inum);
-  RemoveChild(*pnode, leaf);
-  pnode->size = pnode->entries.size() * 64;
-  pnode->mtime = now_hint_;
-  return FsErr::kOk;
+FsErr Ffs::Rmdir(const PathLookup& rec) {
+  return WithCurrent(rec, [&](const PathLookup& cur) {
+    if (const FsErr err = cur.ParentErr(); err != FsErr::kOk) {
+      return err;
+    }
+    if (cur.err != FsErr::kOk) {
+      return cur.err;
+    }
+    const Inode& node = inodes_.records[cur.target.record];
+    if (!node.is_dir) {
+      return FsErr::kNotDir;
+    }
+    if (!node.entries.empty()) {
+      return FsErr::kNotEmpty;
+    }
+    FreeInode(cur.target.inum);
+    Inode& pnode = inodes_.records[cur.parent.record];
+    RemoveChild(pnode, cur.leaf);
+    pnode.size = pnode.entries.size() * 64;
+    pnode.mtime = now_hint_;
+    return FsErr::kOk;
+  });
 }
 
-FsErr Ffs::Rmdir(std::string_view path) {
-  Inum parent = kInvalidInum;
-  std::string_view leaf;
-  if (const FsErr err = ResolveParent(path, &parent, &leaf); err != FsErr::kOk) {
+FsErr Ffs::PlanRename(const PathLookup& from, const PathLookup& to, RenamePlan* plan) const {
+  if (const FsErr err = from.ParentErr(); err != FsErr::kOk) {
     return err;
   }
-  Inode* pnode = Get(parent);
-  const Child* child = FindChild(*pnode, leaf);
-  if (child == nullptr) {
+  if (const FsErr err = to.ParentErr(); err != FsErr::kOk) {
+    return err;
+  }
+  if (from.err != FsErr::kOk) {
     return FsErr::kNotFound;
   }
-  const Inode* node = Get(child->inum);
-  if (!node->is_dir) {
-    return FsErr::kNotDir;
-  }
-  if (!node->entries.empty()) {
-    return FsErr::kNotEmpty;
-  }
-  FreeInode(child->inum);
-  RemoveChild(*pnode, leaf);
-  pnode->size = pnode->entries.size() * 64;
-  pnode->mtime = now_hint_;
-  return FsErr::kOk;
-}
-
-FsErr Ffs::PlanRename(std::string_view from, std::string_view to, RenamePlan* plan) const {
-  if (const FsErr err = ResolveParent(from, &plan->from_parent, &plan->from_leaf);
-      err != FsErr::kOk) {
-    return err;
-  }
-  if (const FsErr err = ResolveParent(to, &plan->to_parent, &plan->to_leaf); err != FsErr::kOk) {
-    return err;
-  }
-  const Child* from_child = FindChild(*Get(plan->from_parent), plan->from_leaf);
-  if (from_child == nullptr) {
-    return FsErr::kNotFound;
-  }
-  plan->moving = from_child->inum;
-  const Child* existing = FindChild(*Get(plan->to_parent), plan->to_leaf);
-  plan->replaced = existing == nullptr ? kInvalidInum : existing->inum;
-  if (plan->replaced == plan->moving) {
+  plan->from_parent = from.parent;
+  plan->to_parent = to.parent;
+  plan->moving = from.target;
+  plan->replaced = to.err == FsErr::kOk ? to.target.inum : kInvalidInum;
+  if (plan->replaced == plan->moving.inum) {
     return FsErr::kOk;  // POSIX: renaming a file onto itself does nothing
   }
   // A directory moved beneath itself would leave the tree as a cycle. A
   // directory has exactly one name, so `to` lies beneath it exactly when
   // `from` spells a prefix of `to`.
-  const Inode* source = Get(plan->moving);
-  if (source->is_dir && IsWithin(to, from)) {
+  const Inode& source = inodes_.records[from.target.record];
+  if (source.is_dir && IsWithin(to.path, from.path)) {
     return FsErr::kInvalid;
   }
-  if (existing != nullptr) {
+  if (plan->replaced != kInvalidInum) {
     // POSIX rename over an existing file replaces it (files only).
-    const Inode* target = Get(plan->replaced);
-    if (target->is_dir != source->is_dir) {
-      return target->is_dir ? FsErr::kIsDir : FsErr::kNotDir;
+    const Inode& target = inodes_.records[to.target.record];
+    if (target.is_dir != source.is_dir) {
+      return target.is_dir ? FsErr::kIsDir : FsErr::kNotDir;
     }
-    if (target->is_dir && !target->entries.empty()) {
+    if (target.is_dir && !target.entries.empty()) {
       return FsErr::kNotEmpty;
     }
   }
   return FsErr::kOk;
 }
 
-Inum Ffs::RenameReplaces(std::string_view from, std::string_view to) const {
-  RenamePlan plan;
-  if (PlanRename(from, to, &plan) != FsErr::kOk || plan.replaced == plan.moving) {
-    return kInvalidInum;
-  }
-  return plan.replaced;
+Inum Ffs::RenameReplaces(const PathLookup& from, const PathLookup& to) const {
+  return WithCurrent(from, [&](const PathLookup& f) {
+    return WithCurrent(to, [&](const PathLookup& t) {
+      RenamePlan plan;
+      if (PlanRename(f, t, &plan) != FsErr::kOk || plan.replaced == plan.moving.inum) {
+        return kInvalidInum;
+      }
+      return plan.replaced;
+    });
+  });
 }
 
-FsErr Ffs::Rename(std::string_view from, std::string_view to, Inum* freed) {
-  RenamePlan plan;
-  if (const FsErr err = PlanRename(from, to, &plan); err != FsErr::kOk) {
-    return err;
-  }
-  if (plan.replaced == plan.moving) {
-    plan.replaced = kInvalidInum;  // onto itself: nothing to do
-  } else {
-    Inode* tp = Get(plan.to_parent);
-    if (plan.replaced != kInvalidInum) {
-      FreeInode(plan.replaced);
-      RemoveChild(*tp, plan.to_leaf);
+FsErr Ffs::Rename(const PathLookup& from, const PathLookup& to, Inum* freed, Inum* moved) {
+  return WithCurrent(from, [&](const PathLookup& f) {
+    return WithCurrent(to, [&](const PathLookup& t) {
+      RenamePlan plan;
+      if (const FsErr err = PlanRename(f, t, &plan); err != FsErr::kOk) {
+        return err;
+      }
+      if (plan.replaced == plan.moving.inum) {
+        plan.replaced = kInvalidInum;  // onto itself: nothing to do
+      } else {
+        Inode& tp = inodes_.records[plan.to_parent.record];
+        if (plan.replaced != kInvalidInum) {
+          FreeInode(plan.replaced);
+          RemoveChild(tp, t.leaf);
+        }
+        Inode& fp = inodes_.records[plan.from_parent.record];
+        RemoveChild(fp, f.leaf);
+        fp.size = fp.entries.size() * 64;
+        fp.mtime = now_hint_;
+        AddChild(tp, t.leaf, plan.moving.inum, plan.moving.record);
+        tp.size = tp.entries.size() * 64;
+        tp.mtime = now_hint_;
+      }
+      if (freed != nullptr) {
+        *freed = plan.replaced;
+      }
+      if (moved != nullptr) {
+        *moved = plan.moving.inum;
+      }
+      return FsErr::kOk;
+    });
+  });
+}
+
+FsErr Ffs::ListDir(const PathLookup& rec, std::vector<DirEntryInfo>* out) const {
+  return WithCurrent(rec, [&](const PathLookup& cur) {
+    if (cur.err != FsErr::kOk) {
+      return cur.err;
     }
-    Inode* fp = Get(plan.from_parent);
-    RemoveChild(*fp, plan.from_leaf);
-    fp->size = fp->entries.size() * 64;
-    fp->mtime = now_hint_;
-    AddChild(*tp, plan.to_leaf, plan.moving);
-    tp->size = tp->entries.size() * 64;
-    tp->mtime = now_hint_;
-  }
-  if (freed != nullptr) {
-    *freed = plan.replaced;
-  }
-  return FsErr::kOk;
-}
-
-FsErr Ffs::ListDir(std::string_view path, std::vector<DirEntryInfo>* out) const {
-  Inum inum = kInvalidInum;
-  if (const FsErr err = ResolveInum(path, &inum); err != FsErr::kOk) {
-    return err;
-  }
-  const Inode* node = Get(inum);
-  if (!node->is_dir) {
-    return FsErr::kNotDir;
-  }
-  out->clear();
-  out->reserve(node->entries.size());
-  for (const Child& c : node->entries) {
-    out->push_back(DirEntryInfo{c.name, c.inum, Get(c.inum)->is_dir});
-  }
-  return FsErr::kOk;
+    const Inode& node = inodes_.records[cur.target.record];
+    if (!node.is_dir) {
+      return FsErr::kNotDir;
+    }
+    out->clear();
+    out->reserve(node.entries.size());
+    for (const Child& c : node.entries) {
+      out->push_back(DirEntryInfo{c.name, c.inum, inodes_.records[c.record].is_dir});
+    }
+    return FsErr::kOk;
+  });
 }
 
 // --- inode operations ---
+
+void Ffs::FillAttr(Inum inum, const Inode& node, InodeAttr* out) {
+  out->inum = inum;
+  out->is_dir = node.is_dir;
+  out->size = node.size;
+  out->blocks = node.blocks.size();
+  out->atime = node.atime;
+  out->mtime = node.mtime;
+  out->ctime = node.ctime;
+}
 
 FsErr Ffs::GetAttr(Inum inum, InodeAttr* out) const {
   const Inode* node = Get(inum);
   if (node == nullptr) {
     return FsErr::kNotFound;
   }
-  out->inum = inum;
-  out->is_dir = node->is_dir;
-  out->size = node->size;
-  out->blocks = node->blocks.size();
-  out->atime = node->atime;
-  out->mtime = node->mtime;
-  out->ctime = node->ctime;
+  FillAttr(inum, *node, out);
   return FsErr::kOk;
 }
 
-FsErr Ffs::GetAttrPath(std::string_view path, InodeAttr* out) const {
-  Inum inum = kInvalidInum;
-  if (const FsErr err = ResolveInum(path, &inum); err != FsErr::kOk) {
-    return err;
-  }
-  return GetAttr(inum, out);
+FsErr Ffs::GetAttr(const PathLookup& rec, InodeAttr* out) const {
+  return WithCurrent(rec, [&](const PathLookup& cur) {
+    if (cur.err != FsErr::kOk) {
+      return cur.err;
+    }
+    FillAttr(cur.target.inum, inodes_.records[cur.target.record], out);
+    return FsErr::kOk;
+  });
 }
 
 FsErr Ffs::SetTimes(Inum inum, Nanos atime, Nanos mtime) {
@@ -691,13 +701,6 @@ FsErr Ffs::BlockOf(Inum inum, std::uint64_t file_block, std::uint64_t* out) cons
   return FsErr::kOk;
 }
 
-std::uint64_t Ffs::InodeBlockOf(Inum inum) const {
-  const std::uint32_t c = (inum - 1) / params_.inodes_per_cg;
-  const std::uint32_t slot = (inum - 1) % params_.inodes_per_cg;
-  const std::uint32_t inodes_per_block = params_.block_size / params_.inode_size;
-  return groups_[c].first_block + slot / inodes_per_block;
-}
-
 FsErr Ffs::DirBlocks(Inum dir_inum, std::uint64_t* first, std::uint64_t* count) const {
   const Inode* node = Get(dir_inum);
   if (node == nullptr) {
@@ -706,11 +709,7 @@ FsErr Ffs::DirBlocks(Inum dir_inum, std::uint64_t* first, std::uint64_t* count) 
   if (!node->is_dir) {
     return FsErr::kNotDir;
   }
-  // Directory entries are modeled as living in the group's inode-table
-  // region alongside the inode (one block per 64 entries).
-  const std::uint64_t entry_bytes = node->entries.size() * 64;
-  *first = InodeBlockOf(dir_inum);
-  *count = std::max<std::uint64_t>(1, (entry_bytes + params_.block_size - 1) / params_.block_size);
+  DirBlocksOf(*node, dir_inum, first, count);
   return FsErr::kOk;
 }
 
@@ -794,30 +793,35 @@ void Codec<Bitmap>::Get(ByteReader& r, Bitmap& b) {
 }
 
 void Codec<Ffs::InodeTable>::Put(ByteWriter& w, const Ffs::InodeTable& t) {
-  std::vector<Inum> live;
-  live.reserve(t.record_of.size());
-  t.record_of.ForEach([&live](std::uint64_t inum, std::uint32_t) {
-    live.push_back(static_cast<Inum>(inum));
-  });
-  std::sort(live.begin(), live.end());
   w.U64(t.slots);
+  // The index's pages, taken in run order, give the live inodes in inum
+  // order.
   std::uint64_t next_slot = 0;
-  for (const Inum inum : live) {
-    w.Fill(0, inum - next_slot);  // the free slots before this one
-    next_slot = static_cast<std::uint64_t>(inum) + 1;
-    w.Bool(true);
-    w.Put(t.records[*t.record_of.Find(inum)]);
+  for (std::size_t run = 0; run < t.runs; ++run) {
+    const std::uint32_t page = t.index[run];
+    for (std::size_t i = 0; page != 0 && i < Ffs::InodeTable::kPageInums; ++i) {
+      const std::uint32_t record = t.index[page + i];
+      if (record == 0) {
+        continue;
+      }
+      const std::uint64_t inum = run * Ffs::InodeTable::kPageInums + i;
+      w.Fill(0, inum - next_slot);  // the free slots before this one
+      next_slot = inum + 1;
+      w.Bool(true);
+      w.Put(t.records[record - 1]);
+    }
   }
   w.Fill(0, t.slots - next_slot);
 }
 
 void Codec<Ffs::InodeTable>::Get(ByteReader& r, Ffs::InodeTable& t) {
-  t = Ffs::InodeTable{};
-  t.slots = r.Count(1);
-  if (t.slots > std::uint64_t{1} << 32) {
+  const std::uint64_t slots = r.Count(1);
+  if (slots > std::uint64_t{1} << 32) {
     r.Fail();  // inums are 32-bit
     return;
   }
+  // Empties the table in place, keeping its capacity.
+  t.Reset(slots);
   for (std::uint64_t slot = 0;; ++slot) {
     slot += r.SkipZeros(t.slots - slot);  // a run of free slots
     if (slot == t.slots || !r.Bool()) {
@@ -825,9 +829,23 @@ void Codec<Ffs::InodeTable>::Get(ByteReader& r, Ffs::InodeTable& t) {
     }
     Ffs::Inode& ino = t.Add(static_cast<Inum>(slot));
     r.Get(ino);
+    for (Ffs::Child& c : ino.entries) {
+      c.hash = NameHash(c.name);
+    }
     if (!Ffs::IndexChildren(ino)) {
       r.Fail();  // a directory names one entry twice
       return;
+    }
+  }
+  // Every entry names a live inode: record its index.
+  for (Ffs::Inode& ino : t.records) {
+    for (Ffs::Child& c : ino.entries) {
+      const std::uint32_t record = t.Find(c.inum);
+      if (record == 0) {
+        r.Fail();  // an entry names a free inode
+        return;
+      }
+      c.record = record - 1;
     }
   }
 }

@@ -16,7 +16,10 @@
 #define SRC_FS_FFS_H_
 
 #include <algorithm>
+#include <array>
+#include <cassert>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -24,7 +27,6 @@
 
 #include "src/sim/byte_io.h"
 #include "src/sim/clock.h"
-#include "src/sim/flat_map.h"
 
 namespace graysim {
 
@@ -153,28 +155,125 @@ struct Codec<Bitmap> {
   static void Get(ByteReader& r, Bitmap& b);
 };
 
+// A name's 32-bit directory-index hash, computed inline eight bytes at a
+// time (a lookup hashes each component it looks up, so this is on every
+// path syscall). Only equality matters: the index compares names on a hash
+// match, and nothing persists or orders by the hash.
+[[nodiscard]] inline std::uint32_t NameHash(std::string_view name) {
+  std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ name.size();
+  std::size_t i = 0;
+  for (; i + 8 <= name.size(); i += 8) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, name.data() + i, 8);
+    h = (h ^ word) * 0xff51afd7ed558ccdULL;
+    h ^= h >> 32;
+  }
+  std::uint64_t tail = 0;
+  for (; i < name.size(); ++i) {
+    tail = (tail << 8) | static_cast<std::uint8_t>(name[i]);
+  }
+  h = (h ^ tail) * 0xc4ceb9fe1a85ec53ULL;
+  h ^= h >> 29;
+  return static_cast<std::uint32_t>(h >> 32);
+}
+
+// Removes the next component of `*rest` and returns it: the run of
+// non-slash characters after any leading slashes. Empty when none is left.
+[[nodiscard]] inline std::string_view NextPathComponent(std::string_view* rest) {
+  std::size_t start = 0;
+  while (start < rest->size() && (*rest)[start] == '/') {
+    ++start;
+  }
+  std::size_t end = start;
+  while (end < rest->size() && (*rest)[end] != '/') {
+    ++end;
+  }
+  const std::string_view comp(rest->data() + start, end - start);
+  rest->remove_prefix(end);
+  return comp;
+}
+
+// What one lookup of a path resolved (Ffs::Lookup), kept by the syscall on
+// its stack and handed to Ffs::WalkReads and to the Ffs call that acts, so
+// neither looks the path up again. It records the inode reached after each
+// component, the inode the path names or the component where the lookup
+// stopped, and the namespace generation it was resolved at. Inodes are held
+// as inums and record indexes, never Inode pointers, because AllocInode can
+// move records. While the generation holds, every entry still answers what
+// a lookup from the root would; once it moves, the Ffs calls resolve the
+// path again. `path` views the caller's string, which must outlive the
+// record.
+struct PathLookup {
+  struct Node {
+    Inum inum = kInvalidInum;
+    std::uint32_t record = 0;  // index in the inode table's records
+  };
+  // Nodes kept for the walk: nodes[i] for i < kNodes. A longer path keeps
+  // its first kNodes - 1 components here and `parent` and `target` below.
+  static constexpr std::size_t kNodes = 9;
+
+  std::string_view path;
+  std::uint64_t generation = 0;
+  std::uint32_t components = 0;  // in `path`
+  // Components looked up: `components` when the path names `target`, else
+  // the index of the component where the lookup stopped with `err`.
+  std::uint32_t resolved = 0;
+  FsErr err = FsErr::kOk;
+  // nodes[0] is the root, nodes[i] the inode the first i components name.
+  std::array<Node, kNodes> nodes{};
+  // The directory holding the last component (when resolved + 1 >=
+  // components), the last component, and the inode the path names (when
+  // err is kOk).
+  Node parent;
+  std::string_view leaf;
+  Node target;
+
+  // The error a resolution of the path's parent gives: kInvalid for a path
+  // with no component, or the error at a component before the last one,
+  // including a last component whose directory is not one. kOk when the
+  // last component's directory exists, whether or not it holds the name.
+  [[nodiscard]] FsErr ParentErr() const {
+    if (components == 0) {
+      return FsErr::kInvalid;
+    }
+    if (resolved + 1 < components || (resolved + 1 == components && err == FsErr::kNotDir)) {
+      return err;
+    }
+    return FsErr::kOk;
+  }
+};
+
 // File system metadata manager for one disk.
 class Ffs {
  public:
   Ffs(FsParams params, std::uint64_t disk_capacity_bytes);
 
   // --- namespace operations (paths are absolute, '/'-separated) ---
-  [[nodiscard]] FsErr Lookup(std::string_view path, Inum* out) const;
-  FsErr Create(std::string_view path, Inum* out);
-  FsErr Mkdir(std::string_view path, Inum* out);
+  // Resolves `path` into `*out` and returns its lookup error: kOk when the
+  // path names an inode, else kNotFound or kNotDir from the component where
+  // it stopped. The calls below take the record; each resolves the path
+  // again first if the namespace changed since the record was made.
+  FsErr Lookup(std::string_view path, PathLookup* out) const;
+  // Create and Mkdir add the last component. On success they re-stamp
+  // `*rec`: the entry they added is the only change, so the record then
+  // names the new inode at the new generation.
+  FsErr Create(PathLookup* rec, Inum* out);
+  FsErr Mkdir(PathLookup* rec, Inum* out);
   // Unlink and Rename store in `*freed` (when given) the inode they free:
   // the unlinked file, or the one a rename replaces (kInvalidInum if none).
-  FsErr Unlink(std::string_view path, Inum* freed = nullptr);
-  FsErr Rmdir(std::string_view path);
-  FsErr Rename(std::string_view from, std::string_view to, Inum* freed = nullptr);
+  // Rename stores in `*moved` the inode it moved, which `to` now names.
+  FsErr Unlink(const PathLookup& rec, Inum* freed = nullptr);
+  FsErr Rmdir(const PathLookup& rec);
+  FsErr Rename(const PathLookup& from, const PathLookup& to, Inum* freed = nullptr,
+               Inum* moved = nullptr);
   // The inode Rename(from, to) would free now, or kInvalidInum when it would
   // fail or replace nothing.
-  [[nodiscard]] Inum RenameReplaces(std::string_view from, std::string_view to) const;
-  [[nodiscard]] FsErr ListDir(std::string_view path, std::vector<DirEntryInfo>* out) const;
+  [[nodiscard]] Inum RenameReplaces(const PathLookup& from, const PathLookup& to) const;
+  [[nodiscard]] FsErr ListDir(const PathLookup& rec, std::vector<DirEntryInfo>* out) const;
 
   // --- inode operations ---
   [[nodiscard]] FsErr GetAttr(Inum inum, InodeAttr* out) const;
-  [[nodiscard]] FsErr GetAttrPath(std::string_view path, InodeAttr* out) const;
+  [[nodiscard]] FsErr GetAttr(const PathLookup& rec, InodeAttr* out) const;
   FsErr SetTimes(Inum inum, Nanos atime, Nanos mtime);
   void TouchAtime(Inum inum, Nanos now);
   // Grows or shrinks the file, allocating/freeing blocks.
@@ -193,16 +292,19 @@ class Ffs {
   // [*first, *first + *count).
   [[nodiscard]] FsErr DirBlocks(Inum dir_inum, std::uint64_t* first, std::uint64_t* count) const;
 
-  // The metadata blocks a lookup of `path` reads, in order: read(block) for
+  // The metadata blocks the lookup `rec` reads, in order: read(block) for
   // each entry block of every directory on the path, then for the inode
   // block of the inode the path names. It stops after the reads of the
-  // directory in which a component is missing. `read` may block while
-  // other processes change the namespace, so after a directory's reads the
-  // walk resolves the path up to the next component from the root again if
-  // any directory entry changed during them. Otherwise it steps from the
-  // directory it holds, which the path up to there still names.
+  // directory in which a component is missing. While the namespace
+  // generation equals the record's, the walk takes each directory and each
+  // step from the record and looks no name up. `read` may block while other
+  // processes change the namespace; once the generation has moved, the walk
+  // takes each step by itself (§5l): after a directory's reads it resolves
+  // the path up to the next component from the root again if any directory
+  // entry changed during them, and otherwise steps from the directory it
+  // holds. A path deeper than the record steps by itself past its end.
   template <class Read>
-  void WalkReads(std::string_view path, Read&& read) const;
+  void WalkReads(const PathLookup& rec, Read&& read) const;
 
   [[nodiscard]] const FsParams& params() const { return params_; }
   [[nodiscard]] std::uint64_t free_blocks() const { return free_data_blocks_; }
@@ -242,10 +344,17 @@ class Ffs {
     v("now_hint", s.now_hint_);
   }
 
+  // False when a decoded root is not a live directory, which every lookup
+  // starts from (ByteReader::Get rejects such a checkpoint).
+  [[nodiscard]] bool Consistent() const {
+    const Inode* root = Get(root_);
+    return root != nullptr && root->is_dir;
+  }
+
   // Rough heap footprint in bytes (snapshot-size accounting; directory
   // payload strings are counted structurally, not byte-exactly).
   [[nodiscard]] std::uint64_t ApproxBytes() const {
-    std::uint64_t bytes = sizeof(Ffs) + inodes_.record_of.capacity_bytes() +
+    std::uint64_t bytes = sizeof(Ffs) + inodes_.index.capacity() * sizeof(std::uint32_t) +
                           inodes_.free_records.capacity() * sizeof(std::uint32_t);
     for (const Inode& ino : inodes_.records) {
       bytes += sizeof(Inode) + ino.blocks.capacity() * sizeof(std::uint64_t) +
@@ -262,6 +371,11 @@ class Ffs {
   struct Child {
     std::string name;
     Inum inum = kInvalidInum;
+    // Derived, not checkpointed (a load computes both): NameHash(name), and
+    // the index of inum's record in the inode table, which stays put while
+    // the inode lives.
+    std::uint32_t hash = 0;
+    std::uint32_t record = 0;
 
     template <class S, class V>
     static constexpr void VisitFields(S& s, V&& v) {
@@ -285,8 +399,9 @@ class Ffs {
     // an open-addressed table (linear probing, a power-of-two size at most
     // half full) whose slots hold the name's 32-bit hash above the entry's
     // position + 1, and 0 when empty: one array per directory, no node per
-    // entry. A lookup compares the entry's name, so a hash collision costs a
-    // probe, never a wrong answer.
+    // entry. Each entry keeps its hash, so a rebuild hashes no name. A lookup
+    // compares the entry's name, so a hash collision costs a probe, never a
+    // wrong answer.
     std::vector<Child> entries;
     std::vector<std::uint64_t> index;
 
@@ -308,16 +423,40 @@ class Ffs {
   // through a free list, and an inum -> record index. Host cost follows the
   // live inode count, not the table's capacity (tens of thousands of slots
   // per disk, of which a machine typically uses a few hundred).
+  //
+  // The index hashes nothing and never rehashes. It is one vector in two
+  // parts: a directory, index[r] for each run r of kPageInums inums from
+  // kPageInums * r, and after it the pages of the runs in which an inode
+  // has lived, each appended on first use and kept. index[r] is the offset
+  // of run r's page, or 0 while it has none; a page holds each live inum's
+  // record index + 1, and 0 for the others. The directory covers the runs
+  // up to the highest one used (`runs`), so a file system whose inodes
+  // share a few cylinder groups keeps a small index. The vector grows by
+  // doubling.
   struct InodeTable {
+    static constexpr std::size_t kPageInums = 64;
+
     std::vector<Inode> records;
     std::vector<std::uint32_t> free_records;  // indexes of cleared records
-    FlatMap<std::uint32_t> record_of;         // live inum -> index in records
+    std::vector<std::uint32_t> index;
+    std::size_t runs = 0;  // the directory's size
     // Logical table size, cg_count * inodes_per_cg + 1 (inum 0 is never
-    // used): the bound Get checks and the slot count a checkpoint records.
+    // used): the slot count a checkpoint records. Every inum is below it.
     std::uint64_t slots = 0;
 
+    // Empties the table, keeping its capacity, for `slot_count` slots.
+    void Reset(std::uint64_t slot_count);
+    // The record index of live inode `inum` plus one, or 0 when `inum` is
+    // free or out of range.
+    [[nodiscard]] std::uint32_t Find(Inum inum) const {
+      const std::size_t run = inum / kPageInums;
+      const std::uint32_t page = run < runs ? index[run] : 0;
+      return page == 0 ? 0 : index[page + inum % kPageInums];
+    }
     // A cleared record for `inum`, taken from the free list or appended.
     Inode& Add(Inum inum);
+    // Frees live inode `inum`'s record, which must already be cleared.
+    void Remove(Inum inum);
   };
   friend struct Codec<InodeTable>;
 
@@ -344,32 +483,58 @@ class Ffs {
     }
   };
 
-  // Path walks take components as views of the caller's path; repeated and
-  // trailing slashes are skipped. `*leaf` views `path`.
-  [[nodiscard]] FsErr ResolveParent(std::string_view path, Inum* parent,
-                                    std::string_view* leaf) const;
-  [[nodiscard]] FsErr ResolveInum(std::string_view path, Inum* out) const;
   // One step of a lookup: the entry `name` of directory `dir`, with the
   // error a lookup gives at that step.
   [[nodiscard]] FsErr LookupChild(Inum dir, std::string_view name, Inum* out) const;
 
-  // What Rename(from, to) would do now. `replaced` is the inode `to` names,
-  // which the rename frees (kInvalidInum if none); it equals `moving` for a
-  // rename onto itself, which changes nothing.
+  // True while no directory entry changed since `rec` was resolved, so it
+  // still answers what a lookup from the root would.
+  [[nodiscard]] bool Holds(const PathLookup& rec) const {
+    return rec.generation == namespace_generation_;
+  }
+  // fn(rec) while `rec` holds, else fn of a fresh lookup of its path.
+  template <class Fn>
+  decltype(auto) WithCurrent(const PathLookup& rec, Fn&& fn) const {
+    if (Holds(rec)) {
+      return fn(rec);
+    }
+    PathLookup fresh;
+    (void)Lookup(rec.path, &fresh);
+    return fn(fresh);
+  }
+  // Create and Mkdir: adds the last component of `*rec` as a new inode.
+  FsErr AddEntry(PathLookup* rec, bool is_dir, Inum* out);
+
+  // What Rename(from, to) would do now, from current records. `replaced`
+  // is the inode `to` names, which the rename frees (kInvalidInum if none);
+  // it equals `moving.inum` for a rename onto itself, which changes nothing.
   struct RenamePlan {
-    Inum from_parent = kInvalidInum;
-    Inum to_parent = kInvalidInum;
-    std::string_view from_leaf;
-    std::string_view to_leaf;
-    Inum moving = kInvalidInum;
+    PathLookup::Node from_parent;
+    PathLookup::Node to_parent;
+    PathLookup::Node moving;
     Inum replaced = kInvalidInum;
   };
-  [[nodiscard]] FsErr PlanRename(std::string_view from, std::string_view to,
+  [[nodiscard]] FsErr PlanRename(const PathLookup& from, const PathLookup& to,
                                  RenamePlan* plan) const;
 
   // The live inode `inum`, or null when it is out of range or free.
-  [[nodiscard]] const Inode* Get(Inum inum) const;
-  [[nodiscard]] Inode* Get(Inum inum);
+  [[nodiscard]] const Inode* Get(Inum inum) const {
+    const std::uint32_t record = inum == kInvalidInum ? 0 : inodes_.Find(inum);
+    return record == 0 ? nullptr : &inodes_.records[record - 1];
+  }
+  [[nodiscard]] Inode* Get(Inum inum) {
+    return const_cast<Inode*>(static_cast<const Ffs*>(this)->Get(inum));
+  }
+  // The index in the records of live inode `inum`.
+  [[nodiscard]] std::uint32_t RecordOf(Inum inum) const {
+    const std::uint32_t record = inodes_.Find(inum);
+    assert(record != 0);
+    return record - 1;
+  }
+  static void FillAttr(Inum inum, const Inode& node, InodeAttr* out);
+  // The entry blocks of directory `dir`, whose inode is `node`.
+  void DirBlocksOf(const Inode& node, Inum dir, std::uint64_t* first,
+                   std::uint64_t* count) const;
 
   // Allocates an inode in (preferably) cylinder group `cg_hint`, lowest free
   // slot first (FFS reuses freed inodes lowest-first — key to Fig 6 aging).
@@ -381,14 +546,20 @@ class Ffs {
   void FreeInode(Inum inum);
 
   // Directory entries by name, through the index. FindChild returns null
-  // when `name` is absent; the pointer is valid until `dir` changes.
-  // RemoveChild requires `name` to be present. AddChild and RemoveChild
-  // advance the namespace generation; every inode freed is unlinked by a
-  // RemoveChild in the same call, so a lookup's answer never changes while
-  // the generation holds. IndexChildren rebuilds the index from `entries`
-  // and returns false if a name repeats.
-  [[nodiscard]] static const Child* FindChild(const Inode& dir, std::string_view name);
-  void AddChild(Inode& dir, std::string_view name, Inum inum);
+  // when `name` (whose NameHash is `hash`) is absent; the pointer is valid
+  // until `dir` changes. AddChild adds `inum`, whose record index is
+  // `record`. RemoveChild requires `name` to be present. AddChild and
+  // RemoveChild advance the namespace generation; every inode freed is
+  // unlinked by a RemoveChild in the same call, so a lookup's answer never
+  // changes while the generation holds. IndexChildren rebuilds the index
+  // from `entries` and their stored hashes, and returns false if a name
+  // repeats.
+  [[nodiscard]] static const Child* FindChild(const Inode& dir, std::string_view name,
+                                              std::uint32_t hash);
+  [[nodiscard]] static const Child* FindChild(const Inode& dir, std::string_view name) {
+    return FindChild(dir, name, NameHash(name));
+  }
+  void AddChild(Inode& dir, std::string_view name, Inum inum, std::uint32_t record);
   void RemoveChild(Inode& dir, std::string_view name);
   static bool IndexChildren(Inode& dir);
 
@@ -420,32 +591,59 @@ class Ffs {
   std::uint64_t namespace_generation_ = 0;
 };
 
+inline std::uint64_t Ffs::InodeBlockOf(Inum inum) const {
+  const std::uint32_t c = (inum - 1) / params_.inodes_per_cg;
+  const std::uint32_t slot = (inum - 1) % params_.inodes_per_cg;
+  const std::uint32_t inodes_per_block = params_.block_size / params_.inode_size;
+  return groups_[c].first_block + slot / inodes_per_block;
+}
+
+inline void Ffs::DirBlocksOf(const Inode& node, Inum dir, std::uint64_t* first,
+                             std::uint64_t* count) const {
+  // Directory entries are modeled as living in the group's inode-table
+  // region alongside the inode (one block per 64 entries).
+  const std::uint64_t entry_bytes = node.entries.size() * 64;
+  *first = InodeBlockOf(dir);
+  *count = std::max<std::uint64_t>(1, (entry_bytes + params_.block_size - 1) / params_.block_size);
+}
+
 template <class Read>
-void Ffs::WalkReads(std::string_view path, Read&& read) const {
+void Ffs::WalkReads(const PathLookup& rec, Read&& read) const {
+  std::string_view rest = rec.path;
   Inum cur = root_;
-  for (std::size_t begin = path.find_first_not_of('/'); begin != std::string_view::npos;
-       begin = path.find_first_not_of('/', begin)) {
-    const std::size_t end = std::min(path.find('/', begin), path.size());
+  std::size_t step = 0;
+  for (std::string_view comp = NextPathComponent(&rest); !comp.empty();
+       comp = NextPathComponent(&rest), ++step) {
     const std::uint64_t generation = namespace_generation_;
-    std::uint64_t first = 0;
-    std::uint64_t count = 0;
-    if (DirBlocks(cur, &first, &count) == FsErr::kOk) {
+    // On the record, the walk holds nodes[step], so its record index is live.
+    const bool on_record = Holds(rec) && step < PathLookup::kNodes;
+    const Inode* dir = on_record ? &inodes_.records[rec.nodes[step].record] : Get(cur);
+    if (dir != nullptr && dir->is_dir) {
+      std::uint64_t first = 0;
+      std::uint64_t count = 0;
+      DirBlocksOf(*dir, cur, &first, &count);
       for (std::uint64_t b = first; b < first + count; ++b) {
         read(b);
       }
     }
     Inum next = kInvalidInum;
     FsErr err = FsErr::kOk;
-    if (namespace_generation_ == generation) {
-      err = LookupChild(cur, path.substr(begin, end - begin), &next);
+    if (namespace_generation_ != generation) {
+      // The path up to and including `comp`, from the root again.
+      PathLookup fresh;
+      err = Lookup(rec.path.substr(0, rec.path.size() - rest.size()), &fresh);
+      next = fresh.target.inum;
+    } else if (on_record && step == rec.resolved) {
+      return;  // the lookup stopped at this component
+    } else if (on_record && step + 1 < PathLookup::kNodes) {
+      next = rec.nodes[step + 1].inum;
     } else {
-      err = Lookup(path.substr(0, end), &next);
+      err = LookupChild(cur, comp, &next);
     }
     if (err != FsErr::kOk) {
       return;
     }
     cur = next;
-    begin = end;
   }
   read(InodeBlockOf(cur));
 }

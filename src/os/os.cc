@@ -690,9 +690,21 @@ void Os::MetaDirty(Pid pid, int disk, std::uint64_t block) {
   MaybeWakeFlushDaemon();
 }
 
-void Os::ChargeWalk(Pid pid, const PathRef& ref) {
-  const auto read = [&](std::uint64_t block) { MetaRead(pid, ref.disk, block); };
-  filesystems_[ref.disk]->WalkReads(ref.sub, read);
+void Os::ChargeWalk(Pid pid, int disk, const PathLookup& rec) {
+  const auto read = [&](std::uint64_t block) { MetaRead(pid, disk, block); };
+  filesystems_[disk]->WalkReads(rec, read);
+}
+
+int Os::AllocFd(Pid pid, int disk, Inum inum) {
+  auto& table = fd_tables_[pid];
+  const auto free_slot =
+      std::find_if(table.begin(), table.end(), [](const FdEntry& e) { return !e.open; });
+  const auto fd = static_cast<int>(free_slot - table.begin());
+  if (free_slot == table.end()) {
+    table.emplace_back();
+  }
+  table[fd] = FdEntry{true, disk, inum, 0, 0, 0};
+  return fd;
 }
 
 std::uint8_t Os::ContentByte(Inum tagged, std::uint64_t offset) {
@@ -847,31 +859,18 @@ int Os::Open(Pid pid, std::string_view path) {
   if (!ParsePath(path, &ref)) {
     return ToErr(FsErr::kInvalid);
   }
-  Ffs& f = *filesystems_[ref.disk];
-  Inum inum = kInvalidInum;
-  if (const FsErr err = f.Lookup(ref.sub, &inum); err != FsErr::kOk) {
+  const Ffs& f = *filesystems_[ref.disk];
+  PathLookup rec;
+  if (const FsErr err = f.Lookup(ref.sub, &rec); err != FsErr::kOk) {
     return ToErr(err);
   }
   InodeAttr attr;
-  (void)f.GetAttr(inum, &attr);
+  (void)f.GetAttr(rec, &attr);
   if (attr.is_dir) {
     return ToErr(FsErr::kIsDir);
   }
-  ChargeWalk(pid, ref);
-  auto& table = fd_tables_[pid];
-  int fd = -1;
-  for (std::size_t i = 0; i < table.size(); ++i) {
-    if (!table[i].open) {
-      fd = static_cast<int>(i);
-      break;
-    }
-  }
-  if (fd < 0) {
-    table.emplace_back();
-    fd = static_cast<int>(table.size()) - 1;
-  }
-  table[fd] = FdEntry{true, ref.disk, inum, 0, 0, 0};
-  return fd;
+  ChargeWalk(pid, ref.disk, rec);
+  return AllocFd(pid, ref.disk, attr.inum);
 }
 
 int Os::Close(Pid pid, int fd) {
@@ -1240,43 +1239,33 @@ int Os::Creat(Pid pid, std::string_view path) {
   }
   Ffs& f = *filesystems_[ref.disk];
   f.set_clock_hint(clock_.now());
+  PathLookup rec;
   Inum inum = kInvalidInum;
-  const FsErr lookup = f.Lookup(ref.sub, &inum);
+  const FsErr lookup = f.Lookup(ref.sub, &rec);
   if (lookup == FsErr::kOk) {
     // POSIX creat truncates an existing file.
     InodeAttr attr;
-    (void)f.GetAttr(inum, &attr);
+    (void)f.GetAttr(rec, &attr);
     if (attr.is_dir) {
       return ToErr(FsErr::kIsDir);
     }
+    inum = attr.inum;
     cache_.DropFile(Tag(ref.disk, inum));
     InvalidateInflight(Tag(ref.disk, inum), 0);
     if (const FsErr err = f.Resize(inum, 0, clock_.now()); err != FsErr::kOk) {
       return ToErr(err);
     }
   } else if (lookup == FsErr::kNotFound) {
-    if (const FsErr err = f.Create(ref.sub, &inum); err != FsErr::kOk) {
+    // Re-stamps the record, so the walk below still steps through it.
+    if (const FsErr err = f.Create(&rec, &inum); err != FsErr::kOk) {
       return ToErr(err);
     }
   } else {
     return ToErr(lookup);
   }
-  ChargeWalk(pid, ref);
+  ChargeWalk(pid, ref.disk, rec);
   MetaDirty(pid, ref.disk, f.InodeBlockOf(inum));
-  auto& table = fd_tables_[pid];
-  int fd = -1;
-  for (std::size_t i = 0; i < table.size(); ++i) {
-    if (!table[i].open) {
-      fd = static_cast<int>(i);
-      break;
-    }
-  }
-  if (fd < 0) {
-    table.emplace_back();
-    fd = static_cast<int>(table.size()) - 1;
-  }
-  table[fd] = FdEntry{true, ref.disk, inum, 0, 0, 0};
-  return fd;
+  return AllocFd(pid, ref.disk, inum);
 }
 
 int Os::Stat(Pid pid, std::string_view path, InodeAttr* out) {
@@ -1295,11 +1284,13 @@ int Os::StatImpl(Pid pid, std::string_view path, InodeAttr* out) {
     Charge(pid, chaos_->plan().stat_eio_latency);
     return ToErr(FsErr::kIo);
   }
-  Ffs& f = *filesystems_[ref.disk];
-  if (const FsErr err = f.GetAttrPath(ref.sub, out); err != FsErr::kOk) {
+  const Ffs& f = *filesystems_[ref.disk];
+  PathLookup rec;
+  if (const FsErr err = f.Lookup(ref.sub, &rec); err != FsErr::kOk) {
     return ToErr(err);
   }
-  ChargeWalk(pid, ref);
+  (void)f.GetAttr(rec, out);
+  ChargeWalk(pid, ref.disk, rec);
   return 0;
 }
 
@@ -1354,14 +1345,16 @@ int Os::Unlink(Pid pid, std::string_view path) {
   }
   Ffs& f = *filesystems_[ref.disk];
   f.set_clock_hint(clock_.now());
-  Inum inum = kInvalidInum;
-  if (const FsErr err = f.Lookup(ref.sub, &inum); err != FsErr::kOk) {
+  PathLookup rec;
+  if (const FsErr err = f.Lookup(ref.sub, &rec); err != FsErr::kOk) {
     return ToErr(err);
   }
-  ChargeWalk(pid, ref);
+  ChargeWalk(pid, ref.disk, rec);
   // The walk may have blocked while another process renamed or unlinked
-  // part of the path: drop the pages of the inode the unlink frees.
-  if (const FsErr err = f.Unlink(ref.sub, &inum); err != FsErr::kOk) {
+  // part of the path, in which case Ffs::Unlink resolves it again: drop the
+  // pages of the inode the unlink frees.
+  Inum inum = kInvalidInum;
+  if (const FsErr err = f.Unlink(rec, &inum); err != FsErr::kOk) {
     return ToErr(err);
   }
   cache_.DropFile(Tag(ref.disk, inum));
@@ -1379,8 +1372,10 @@ int Os::Mkdir(Pid pid, std::string_view path) {
   }
   Ffs& f = *filesystems_[ref.disk];
   f.set_clock_hint(clock_.now());
+  PathLookup rec;
+  (void)f.Lookup(ref.sub, &rec);
   Inum inum = kInvalidInum;
-  if (const FsErr err = f.Mkdir(ref.sub, &inum); err != FsErr::kOk) {
+  if (const FsErr err = f.Mkdir(&rec, &inum); err != FsErr::kOk) {
     return ToErr(err);
   }
   MetaDirty(pid, ref.disk, f.InodeBlockOf(inum));
@@ -1396,12 +1391,12 @@ int Os::Rmdir(Pid pid, std::string_view path) {
   }
   Ffs& f = *filesystems_[ref.disk];
   f.set_clock_hint(clock_.now());
-  Inum inum = kInvalidInum;
-  if (const FsErr err = f.Lookup(ref.sub, &inum); err != FsErr::kOk) {
+  PathLookup rec;
+  if (const FsErr err = f.Lookup(ref.sub, &rec); err != FsErr::kOk) {
     return ToErr(err);
   }
-  const std::uint64_t inode_block = f.InodeBlockOf(inum);
-  if (const FsErr err = f.Rmdir(ref.sub); err != FsErr::kOk) {
+  const std::uint64_t inode_block = f.InodeBlockOf(rec.target.inum);
+  if (const FsErr err = f.Rmdir(rec); err != FsErr::kOk) {
     return ToErr(err);
   }
   MetaDirty(pid, ref.disk, inode_block);
@@ -1421,31 +1416,34 @@ int Os::Rename(Pid pid, std::string_view from, std::string_view to) {
   }
   Ffs& f = *filesystems_[rfrom.disk];
   f.set_clock_hint(clock_.now());
+  PathLookup from_rec;
+  PathLookup to_rec;
+  (void)f.Lookup(rfrom.sub, &from_rec);
+  (void)f.Lookup(rto.sub, &to_rec);
   // A rename that will replace a file drops the file's pages before the
   // walk, whose metadata reads then find its frames free (a replaced empty
   // directory has none). A rename that will fail, or that replaces nothing,
   // keeps them.
-  const Inum doomed = f.RenameReplaces(rfrom.sub, rto.sub);
+  const Inum doomed = f.RenameReplaces(from_rec, to_rec);
   if (doomed != kInvalidInum) {
     cache_.DropFile(Tag(rto.disk, doomed));
     InvalidateInflight(Tag(rto.disk, doomed), 0);
   }
-  ChargeWalk(pid, rfrom);
+  ChargeWalk(pid, rfrom.disk, from_rec);
   // The walk may have blocked while another process changed either path or
-  // cached pages of the target: drop the pages of the inode the rename
-  // frees. Uncontended, the drop above left none.
+  // cached pages of the target, in which case Ffs::Rename resolves both
+  // again: drop the pages of the inode the rename frees. Uncontended, the
+  // drop above left none.
   Inum freed = kInvalidInum;
-  if (const FsErr err = f.Rename(rfrom.sub, rto.sub, &freed); err != FsErr::kOk) {
+  Inum moved = kInvalidInum;
+  if (const FsErr err = f.Rename(from_rec, to_rec, &freed, &moved); err != FsErr::kOk) {
     return ToErr(err);
   }
   if (freed != kInvalidInum) {
     cache_.DropFile(Tag(rto.disk, freed));
     InvalidateInflight(Tag(rto.disk, freed), 0);
   }
-  Inum moved = kInvalidInum;
-  if (f.Lookup(rto.sub, &moved) == FsErr::kOk) {
-    MetaDirty(pid, rfrom.disk, f.InodeBlockOf(moved));
-  }
+  MetaDirty(pid, rfrom.disk, f.InodeBlockOf(moved));
   return 0;
 }
 
@@ -1456,19 +1454,21 @@ int Os::ReadDir(Pid pid, std::string_view path, std::vector<DirEntryInfo>* out) 
   if (!ParsePath(path, &ref)) {
     return ToErr(FsErr::kInvalid);
   }
-  Ffs& f = *filesystems_[ref.disk];
-  Inum inum = kInvalidInum;
-  if (const FsErr err = f.Lookup(ref.sub, &inum); err != FsErr::kOk) {
+  const Ffs& f = *filesystems_[ref.disk];
+  PathLookup rec;
+  if (const FsErr err = f.Lookup(ref.sub, &rec); err != FsErr::kOk) {
     return ToErr(err);
   }
   std::uint64_t first = 0;
   std::uint64_t count = 0;
-  if (f.DirBlocks(inum, &first, &count) == FsErr::kOk) {
+  if (f.DirBlocks(rec.target.inum, &first, &count) == FsErr::kOk) {
     for (std::uint64_t b = first; b < first + count; ++b) {
       MetaRead(pid, ref.disk, b);
     }
   }
-  if (const FsErr err = f.ListDir(ref.sub, out); err != FsErr::kOk) {
+  // The reads may have blocked: ListDir resolves the path again if the
+  // namespace changed meanwhile.
+  if (const FsErr err = f.ListDir(rec, out); err != FsErr::kOk) {
     return ToErr(err);
   }
   return 0;
@@ -1482,12 +1482,12 @@ int Os::Utimes(Pid pid, std::string_view path, Nanos atime, Nanos mtime) {
     return ToErr(FsErr::kInvalid);
   }
   Ffs& f = *filesystems_[ref.disk];
-  Inum inum = kInvalidInum;
-  if (const FsErr err = f.Lookup(ref.sub, &inum); err != FsErr::kOk) {
+  PathLookup rec;
+  if (const FsErr err = f.Lookup(ref.sub, &rec); err != FsErr::kOk) {
     return ToErr(err);
   }
-  (void)f.SetTimes(inum, atime, mtime);
-  MetaDirty(pid, ref.disk, f.InodeBlockOf(inum));
+  (void)f.SetTimes(rec.target.inum, atime, mtime);
+  MetaDirty(pid, ref.disk, f.InodeBlockOf(rec.target.inum));
   return 0;
 }
 
@@ -1658,11 +1658,11 @@ bool Os::PageResidentPath(std::string_view path, std::uint64_t page_index) const
   if (!ParsePath(path, &ref)) {
     return false;
   }
-  Inum inum = kInvalidInum;
-  if (filesystems_[ref.disk]->Lookup(ref.sub, &inum) != FsErr::kOk) {
+  PathLookup rec;
+  if (filesystems_[ref.disk]->Lookup(ref.sub, &rec) != FsErr::kOk) {
     return false;
   }
-  return cache_.Resident(Tag(ref.disk, inum), page_index);
+  return cache_.Resident(Tag(ref.disk, rec.target.inum), page_index);
 }
 
 double Os::ResidentFraction(std::string_view path) const {
@@ -1670,17 +1670,17 @@ double Os::ResidentFraction(std::string_view path) const {
   if (!ParsePath(path, &ref)) {
     return 0.0;
   }
+  const Ffs& f = *filesystems_[ref.disk];
+  PathLookup rec;
   InodeAttr attr;
-  if (filesystems_[ref.disk]->GetAttrPath(ref.sub, &attr) != FsErr::kOk) {
+  if (f.Lookup(ref.sub, &rec) != FsErr::kOk || f.GetAttr(rec, &attr) != FsErr::kOk) {
     return 0.0;
   }
-  Inum inum = kInvalidInum;
-  (void)filesystems_[ref.disk]->Lookup(ref.sub, &inum);
   const std::uint64_t pages = (attr.size + config_.page_size - 1) / config_.page_size;
   if (pages == 0) {
     return 1.0;
   }
-  const std::uint64_t resident = cache_.ResidentPagesOfFile(Tag(ref.disk, inum));
+  const std::uint64_t resident = cache_.ResidentPagesOfFile(Tag(ref.disk, attr.inum));
   return static_cast<double>(resident) / static_cast<double>(pages);
 }
 

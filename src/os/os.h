@@ -438,9 +438,12 @@ class Os : private EvictionHandler {
   void MetaRead(Pid pid, int disk, std::uint64_t block);
   void MetaDirty(Pid pid, int disk, std::uint64_t block);
 
-  // Charges the directory walk + final inode read for resolving `path`: a
-  // MetaRead of each block Ffs::WalkReads names.
-  void ChargeWalk(Pid pid, const PathRef& ref);
+  // Charges the directory walk + final inode read of the lookup `rec` on
+  // `disk`: a MetaRead of each block Ffs::WalkReads names.
+  void ChargeWalk(Pid pid, int disk, const PathLookup& rec);
+
+  // Binds the lowest closed fd slot of `pid` (or a new one) to `inum`.
+  int AllocFd(Pid pid, int disk, Inum inum);
 
   // Background daemons, both running as event-queue closures.
   // Write-behind flusher: batches the oldest dirty pages to disk when the

@@ -38,6 +38,10 @@
 //   std::array                        the elements
 //   a struct with VisitFields         its fields, in list order
 //   anything else                     Codec<T>
+//
+// A struct whose fields can decode to a state the program never makes (one
+// field naming what another lacks) also declares `bool Consistent() const`;
+// Get fails the reader when a decoded struct returns false.
 #ifndef SRC_SIM_BYTE_IO_H_
 #define SRC_SIM_BYTE_IO_H_
 
@@ -162,6 +166,12 @@ inline constexpr Crc32Tables kCrc32Tables = MakeCrc32Tables();
 
 class ByteWriter {
  public:
+  // Starts with room for `capacity` bytes, so a writer that knows roughly
+  // how much it will write skips the doublings from empty. A writer never
+  // starts with none: GCC 12 misreads a first range insert into an empty
+  // vector as an overflow (see EncodeMachineImage).
+  explicit ByteWriter(std::size_t capacity = 64) { buf_.reserve(capacity); }
+
   void U8(std::uint8_t v) { buf_.push_back(v); }
 
   // Each scalar is one range insert: a single capacity check and copy,
@@ -470,6 +480,11 @@ void ByteReader::Get(T& v) {
     }
   } else if constexpr (byte_io_internal::HasFields<T>) {
     T::VisitFields(v, FieldReader{*this});
+    if constexpr (requires { v.Consistent(); }) {
+      if (ok() && !v.Consistent()) {
+        Fail();
+      }
+    }
   } else {
     Codec<T>::Get(*this, v);
   }

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/sim/rng.h"
+#include "tests/ffs_paths.h"
 
 namespace graysim {
 namespace {
@@ -26,50 +27,50 @@ Ffs MakeFs(AllocatorKind allocator = AllocatorKind::kPacked) {
 TEST(FfsTest, CreateLookupUnlink) {
   Ffs fs = MakeFs();
   Inum inum = kInvalidInum;
-  ASSERT_EQ(fs.Create("/a", &inum), FsErr::kOk);
+  ASSERT_EQ(fspath::Create(fs, "/a", &inum), FsErr::kOk);
   EXPECT_NE(inum, kInvalidInum);
   Inum found = kInvalidInum;
-  EXPECT_EQ(fs.Lookup("/a", &found), FsErr::kOk);
+  EXPECT_EQ(fspath::Lookup(fs, "/a", &found), FsErr::kOk);
   EXPECT_EQ(found, inum);
-  EXPECT_EQ(fs.Unlink("/a"), FsErr::kOk);
-  EXPECT_EQ(fs.Lookup("/a", &found), FsErr::kNotFound);
+  EXPECT_EQ(fspath::Unlink(fs, "/a"), FsErr::kOk);
+  EXPECT_EQ(fspath::Lookup(fs, "/a", &found), FsErr::kNotFound);
 }
 
 TEST(FfsTest, CreateInMissingDirFails) {
   Ffs fs = MakeFs();
   Inum inum = kInvalidInum;
-  EXPECT_EQ(fs.Create("/nodir/a", &inum), FsErr::kNotFound);
+  EXPECT_EQ(fspath::Create(fs, "/nodir/a", &inum), FsErr::kNotFound);
 }
 
 TEST(FfsTest, DuplicateCreateFails) {
   Ffs fs = MakeFs();
   Inum inum = kInvalidInum;
-  ASSERT_EQ(fs.Create("/a", &inum), FsErr::kOk);
-  EXPECT_EQ(fs.Create("/a", &inum), FsErr::kExists);
+  ASSERT_EQ(fspath::Create(fs, "/a", &inum), FsErr::kOk);
+  EXPECT_EQ(fspath::Create(fs, "/a", &inum), FsErr::kExists);
 }
 
 TEST(FfsTest, MkdirAndNesting) {
   Ffs fs = MakeFs();
   Inum d = kInvalidInum;
-  ASSERT_EQ(fs.Mkdir("/dir", &d), FsErr::kOk);
+  ASSERT_EQ(fspath::Mkdir(fs, "/dir", &d), FsErr::kOk);
   Inum f = kInvalidInum;
-  ASSERT_EQ(fs.Create("/dir/file", &f), FsErr::kOk);
+  ASSERT_EQ(fspath::Create(fs, "/dir/file", &f), FsErr::kOk);
   InodeAttr attr;
-  ASSERT_EQ(fs.GetAttrPath("/dir/file", &attr), FsErr::kOk);
+  ASSERT_EQ(fspath::GetAttr(fs, "/dir/file", &attr), FsErr::kOk);
   EXPECT_FALSE(attr.is_dir);
-  ASSERT_EQ(fs.GetAttrPath("/dir", &attr), FsErr::kOk);
+  ASSERT_EQ(fspath::GetAttr(fs, "/dir", &attr), FsErr::kOk);
   EXPECT_TRUE(attr.is_dir);
 }
 
 TEST(FfsTest, RmdirRequiresEmpty) {
   Ffs fs = MakeFs();
   Inum d = kInvalidInum;
-  ASSERT_EQ(fs.Mkdir("/dir", &d), FsErr::kOk);
+  ASSERT_EQ(fspath::Mkdir(fs, "/dir", &d), FsErr::kOk);
   Inum f = kInvalidInum;
-  ASSERT_EQ(fs.Create("/dir/file", &f), FsErr::kOk);
-  EXPECT_EQ(fs.Rmdir("/dir"), FsErr::kNotEmpty);
-  ASSERT_EQ(fs.Unlink("/dir/file"), FsErr::kOk);
-  EXPECT_EQ(fs.Rmdir("/dir"), FsErr::kOk);
+  ASSERT_EQ(fspath::Create(fs, "/dir/file", &f), FsErr::kOk);
+  EXPECT_EQ(fspath::Rmdir(fs, "/dir"), FsErr::kNotEmpty);
+  ASSERT_EQ(fspath::Unlink(fs, "/dir/file"), FsErr::kOk);
+  EXPECT_EQ(fspath::Rmdir(fs, "/dir"), FsErr::kOk);
 }
 
 TEST(FfsTest, CreationOrderGivesIncreasingInums) {
@@ -77,7 +78,7 @@ TEST(FfsTest, CreationOrderGivesIncreasingInums) {
   Inum prev = kInvalidInum;
   for (int i = 0; i < 50; ++i) {
     Inum inum = kInvalidInum;
-    ASSERT_EQ(fs.Create("/f" + std::to_string(i), &inum), FsErr::kOk);
+    ASSERT_EQ(fspath::Create(fs, "/f" + std::to_string(i), &inum), FsErr::kOk);
     if (prev != kInvalidInum) {
       EXPECT_GT(inum, prev);
     }
@@ -90,15 +91,15 @@ TEST(FfsTest, FreedInumsAreReusedLowestFirst) {
   std::vector<Inum> inums;
   for (int i = 0; i < 10; ++i) {
     Inum inum = kInvalidInum;
-    ASSERT_EQ(fs.Create("/f" + std::to_string(i), &inum), FsErr::kOk);
+    ASSERT_EQ(fspath::Create(fs, "/f" + std::to_string(i), &inum), FsErr::kOk);
     inums.push_back(inum);
   }
-  ASSERT_EQ(fs.Unlink("/f3"), FsErr::kOk);
-  ASSERT_EQ(fs.Unlink("/f7"), FsErr::kOk);
+  ASSERT_EQ(fspath::Unlink(fs, "/f3"), FsErr::kOk);
+  ASSERT_EQ(fspath::Unlink(fs, "/f7"), FsErr::kOk);
   Inum reused = kInvalidInum;
-  ASSERT_EQ(fs.Create("/new1", &reused), FsErr::kOk);
+  ASSERT_EQ(fspath::Create(fs, "/new1", &reused), FsErr::kOk);
   EXPECT_EQ(reused, inums[3]);  // lowest freed slot first
-  ASSERT_EQ(fs.Create("/new2", &reused), FsErr::kOk);
+  ASSERT_EQ(fspath::Create(fs, "/new2", &reused), FsErr::kOk);
   EXPECT_EQ(reused, inums[7]);
 }
 
@@ -107,7 +108,7 @@ TEST(FfsTest, PackedAllocatorPacksSmallFilesContiguously) {
   std::vector<Inum> inums;
   for (int i = 0; i < 20; ++i) {
     Inum inum = kInvalidInum;
-    ASSERT_EQ(fs.Create("/f" + std::to_string(i), &inum), FsErr::kOk);
+    ASSERT_EQ(fspath::Create(fs, "/f" + std::to_string(i), &inum), FsErr::kOk);
     ASSERT_EQ(fs.Resize(inum, 8192, 0), FsErr::kOk);  // two blocks
     inums.push_back(inum);
   }
@@ -124,9 +125,9 @@ TEST(FfsTest, SparseAllocatorLeavesInterFileGaps) {
   Ffs fs = MakeFs(AllocatorKind::kSparse);
   Inum a = kInvalidInum;
   Inum b = kInvalidInum;
-  ASSERT_EQ(fs.Create("/a", &a), FsErr::kOk);
+  ASSERT_EQ(fspath::Create(fs, "/a", &a), FsErr::kOk);
   ASSERT_EQ(fs.Resize(a, 8192, 0), FsErr::kOk);
-  ASSERT_EQ(fs.Create("/b", &b), FsErr::kOk);
+  ASSERT_EQ(fspath::Create(fs, "/b", &b), FsErr::kOk);
   ASSERT_EQ(fs.Resize(b, 8192, 0), FsErr::kOk);
   const std::uint64_t gap = fs.FirstBlockOf(b) - fs.FirstBlockOf(a);
   EXPECT_GT(gap, 2u);  // more than just file a's two blocks
@@ -135,7 +136,7 @@ TEST(FfsTest, SparseAllocatorLeavesInterFileGaps) {
 TEST(FfsTest, ResizeGrowsAndShrinks) {
   Ffs fs = MakeFs();
   Inum inum = kInvalidInum;
-  ASSERT_EQ(fs.Create("/a", &inum), FsErr::kOk);
+  ASSERT_EQ(fspath::Create(fs, "/a", &inum), FsErr::kOk);
   ASSERT_EQ(fs.Resize(inum, 10000, 5), FsErr::kOk);
   InodeAttr attr;
   ASSERT_EQ(fs.GetAttr(inum, &attr), FsErr::kOk);
@@ -152,10 +153,10 @@ TEST(FfsTest, UnlinkFreesBlocks) {
   Ffs fs = MakeFs();
   const std::uint64_t free0 = fs.free_blocks();
   Inum inum = kInvalidInum;
-  ASSERT_EQ(fs.Create("/a", &inum), FsErr::kOk);
+  ASSERT_EQ(fspath::Create(fs, "/a", &inum), FsErr::kOk);
   ASSERT_EQ(fs.Resize(inum, 1 << 20, 0), FsErr::kOk);
   EXPECT_EQ(fs.free_blocks(), free0 - 256);
-  ASSERT_EQ(fs.Unlink("/a"), FsErr::kOk);
+  ASSERT_EQ(fspath::Unlink(fs, "/a"), FsErr::kOk);
   EXPECT_EQ(fs.free_blocks(), free0);
 }
 
@@ -163,14 +164,14 @@ TEST(FfsTest, RenameMovesAcrossDirectories) {
   Ffs fs = MakeFs();
   Inum d1 = kInvalidInum;
   Inum d2 = kInvalidInum;
-  ASSERT_EQ(fs.Mkdir("/d1", &d1), FsErr::kOk);
-  ASSERT_EQ(fs.Mkdir("/d2", &d2), FsErr::kOk);
+  ASSERT_EQ(fspath::Mkdir(fs, "/d1", &d1), FsErr::kOk);
+  ASSERT_EQ(fspath::Mkdir(fs, "/d2", &d2), FsErr::kOk);
   Inum f = kInvalidInum;
-  ASSERT_EQ(fs.Create("/d1/x", &f), FsErr::kOk);
-  ASSERT_EQ(fs.Rename("/d1/x", "/d2/y"), FsErr::kOk);
+  ASSERT_EQ(fspath::Create(fs, "/d1/x", &f), FsErr::kOk);
+  ASSERT_EQ(fspath::Rename(fs, "/d1/x", "/d2/y"), FsErr::kOk);
   Inum found = kInvalidInum;
-  EXPECT_EQ(fs.Lookup("/d1/x", &found), FsErr::kNotFound);
-  ASSERT_EQ(fs.Lookup("/d2/y", &found), FsErr::kOk);
+  EXPECT_EQ(fspath::Lookup(fs, "/d1/x", &found), FsErr::kNotFound);
+  ASSERT_EQ(fspath::Lookup(fs, "/d2/y", &found), FsErr::kOk);
   EXPECT_EQ(found, f);  // the inode is preserved
 }
 
@@ -178,44 +179,44 @@ TEST(FfsTest, RenameReplacesExistingFile) {
   Ffs fs = MakeFs();
   Inum a = kInvalidInum;
   Inum b = kInvalidInum;
-  ASSERT_EQ(fs.Create("/a", &a), FsErr::kOk);
-  ASSERT_EQ(fs.Create("/b", &b), FsErr::kOk);
-  ASSERT_EQ(fs.Rename("/a", "/b"), FsErr::kOk);
+  ASSERT_EQ(fspath::Create(fs, "/a", &a), FsErr::kOk);
+  ASSERT_EQ(fspath::Create(fs, "/b", &b), FsErr::kOk);
+  ASSERT_EQ(fspath::Rename(fs, "/a", "/b"), FsErr::kOk);
   Inum found = kInvalidInum;
-  ASSERT_EQ(fs.Lookup("/b", &found), FsErr::kOk);
+  ASSERT_EQ(fspath::Lookup(fs, "/b", &found), FsErr::kOk);
   EXPECT_EQ(found, a);
 }
 
 TEST(FfsTest, RenameDirectory) {
   Ffs fs = MakeFs();
   Inum d = kInvalidInum;
-  ASSERT_EQ(fs.Mkdir("/old", &d), FsErr::kOk);
+  ASSERT_EQ(fspath::Mkdir(fs, "/old", &d), FsErr::kOk);
   Inum f = kInvalidInum;
-  ASSERT_EQ(fs.Create("/old/file", &f), FsErr::kOk);
-  ASSERT_EQ(fs.Rename("/old", "/new"), FsErr::kOk);
+  ASSERT_EQ(fspath::Create(fs, "/old/file", &f), FsErr::kOk);
+  ASSERT_EQ(fspath::Rename(fs, "/old", "/new"), FsErr::kOk);
   Inum found = kInvalidInum;
-  ASSERT_EQ(fs.Lookup("/new/file", &found), FsErr::kOk);
+  ASSERT_EQ(fspath::Lookup(fs, "/new/file", &found), FsErr::kOk);
   EXPECT_EQ(found, f);
 }
 
 TEST(FfsTest, RenameOntoItselfIsANoOp) {
   Ffs fs = MakeFs();
   Inum a = kInvalidInum;
-  ASSERT_EQ(fs.Create("/a", &a), FsErr::kOk);
+  ASSERT_EQ(fspath::Create(fs, "/a", &a), FsErr::kOk);
   ASSERT_EQ(fs.Resize(a, 3 * 4096, 0), FsErr::kOk);
   const std::uint64_t free0 = fs.free_blocks();
   // POSIX: both names are the same directory entry, so nothing happens.
-  EXPECT_EQ(fs.Rename("/a", "/a"), FsErr::kOk);
-  EXPECT_EQ(fs.Rename("/a", "//a/"), FsErr::kOk);
+  EXPECT_EQ(fspath::Rename(fs, "/a", "/a"), FsErr::kOk);
+  EXPECT_EQ(fspath::Rename(fs, "/a", "//a/"), FsErr::kOk);
   Inum found = kInvalidInum;
-  ASSERT_EQ(fs.Lookup("/a", &found), FsErr::kOk);
+  ASSERT_EQ(fspath::Lookup(fs, "/a", &found), FsErr::kOk);
   EXPECT_EQ(found, a);
   InodeAttr attr;
   ASSERT_EQ(fs.GetAttr(a, &attr), FsErr::kOk);
   EXPECT_EQ(attr.blocks, 3u);
   EXPECT_EQ(fs.free_blocks(), free0);
   std::vector<DirEntryInfo> entries;
-  ASSERT_EQ(fs.ListDir("/", &entries), FsErr::kOk);
+  ASSERT_EQ(fspath::ListDir(fs, "/", &entries), FsErr::kOk);
   ASSERT_EQ(entries.size(), 1u);
   EXPECT_EQ(entries[0].name, "a");
 }
@@ -224,20 +225,20 @@ TEST(FfsTest, RenameDirectoryBeneathItselfIsRejected) {
   Ffs fs = MakeFs();
   Inum a = kInvalidInum;
   Inum b = kInvalidInum;
-  ASSERT_EQ(fs.Mkdir("/a", &a), FsErr::kOk);
-  ASSERT_EQ(fs.Mkdir("/a/b", &b), FsErr::kOk);
-  EXPECT_EQ(fs.Rename("/a", "/a/c"), FsErr::kInvalid);
-  EXPECT_EQ(fs.Rename("/a", "/a/b"), FsErr::kInvalid);
-  EXPECT_EQ(fs.Rename("/a", "/a/b/c"), FsErr::kInvalid);
-  EXPECT_EQ(fs.Rename("/a/", "//a//b/c"), FsErr::kInvalid);
+  ASSERT_EQ(fspath::Mkdir(fs, "/a", &a), FsErr::kOk);
+  ASSERT_EQ(fspath::Mkdir(fs, "/a/b", &b), FsErr::kOk);
+  EXPECT_EQ(fspath::Rename(fs, "/a", "/a/c"), FsErr::kInvalid);
+  EXPECT_EQ(fspath::Rename(fs, "/a", "/a/b"), FsErr::kInvalid);
+  EXPECT_EQ(fspath::Rename(fs, "/a", "/a/b/c"), FsErr::kInvalid);
+  EXPECT_EQ(fspath::Rename(fs, "/a/", "//a//b/c"), FsErr::kInvalid);
   Inum found = kInvalidInum;
-  ASSERT_EQ(fs.Lookup("/a", &found), FsErr::kOk);
+  ASSERT_EQ(fspath::Lookup(fs, "/a", &found), FsErr::kOk);
   EXPECT_EQ(found, a);
-  ASSERT_EQ(fs.Lookup("/a/b", &found), FsErr::kOk);
+  ASSERT_EQ(fspath::Lookup(fs, "/a/b", &found), FsErr::kOk);
   EXPECT_EQ(found, b);
   // A sibling whose name merely starts with "a" is not beneath /a.
-  EXPECT_EQ(fs.Rename("/a", "/ab"), FsErr::kOk);
-  ASSERT_EQ(fs.Lookup("/ab/b", &found), FsErr::kOk);
+  EXPECT_EQ(fspath::Rename(fs, "/a", "/ab"), FsErr::kOk);
+  ASSERT_EQ(fspath::Lookup(fs, "/ab/b", &found), FsErr::kOk);
   EXPECT_EQ(found, b);
 }
 
@@ -267,27 +268,27 @@ TEST(FfsTest, RenameReplacesNamesTheInodeRenameFrees) {
     Ffs fs = MakeFs();
     Inum inum = kInvalidInum;
     for (const char* dir : {"/d", "/e1", "/e2"}) {
-      ASSERT_EQ(fs.Mkdir(dir, &inum), FsErr::kOk);
+      ASSERT_EQ(fspath::Mkdir(fs, dir, &inum), FsErr::kOk);
     }
     for (const char* file : {"/f", "/g", "/d/e"}) {
-      ASSERT_EQ(fs.Create(file, &inum), FsErr::kOk);
+      ASSERT_EQ(fspath::Create(fs, file, &inum), FsErr::kOk);
     }
     Inum want = kInvalidInum;
     if (row.freed != nullptr) {
-      ASSERT_EQ(fs.Lookup(row.freed, &want), FsErr::kOk);
+      ASSERT_EQ(fspath::Lookup(fs, row.freed, &want), FsErr::kOk);
     }
-    EXPECT_EQ(fs.RenameReplaces(row.from, row.to), want);
+    EXPECT_EQ(fspath::RenameReplaces(fs, row.from, row.to), want);
     Inum freed = 12345;
-    EXPECT_EQ(fs.Rename(row.from, row.to, &freed), row.rc);
+    EXPECT_EQ(fspath::Rename(fs, row.from, row.to, &freed), row.rc);
     if (row.rc == FsErr::kOk) {
       EXPECT_EQ(freed, want);
     }
   }
   Ffs fs = MakeFs();
   Inum f = kInvalidInum;
-  ASSERT_EQ(fs.Create("/f", &f), FsErr::kOk);
+  ASSERT_EQ(fspath::Create(fs, "/f", &f), FsErr::kOk);
   Inum freed = kInvalidInum;
-  ASSERT_EQ(fs.Unlink("/f", &freed), FsErr::kOk);
+  ASSERT_EQ(fspath::Unlink(fs, "/f", &freed), FsErr::kOk);
   EXPECT_EQ(freed, f);
 }
 
@@ -316,35 +317,102 @@ TEST(FfsTest, PathSpellingTable) {
   // Each operation runs on its own copy of a tree holding /a and file /a/b.
   Ffs base = MakeFs();
   Inum file = kInvalidInum;
-  ASSERT_EQ(base.Mkdir("/a", nullptr), FsErr::kOk);
-  ASSERT_EQ(base.Create("/a/b", &file), FsErr::kOk);
+  ASSERT_EQ(fspath::Mkdir(base, "/a", nullptr), FsErr::kOk);
+  ASSERT_EQ(fspath::Create(base, "/a/b", &file), FsErr::kOk);
   for (const Row& row : kRows) {
     SCOPED_TRACE("path \"" + std::string(row.path) + "\"");
     Inum found = kInvalidInum;
-    EXPECT_EQ(base.Lookup(row.path, &found), row.lookup);
+    EXPECT_EQ(fspath::Lookup(base, row.path, &found), row.lookup);
     if (row.lookup == FsErr::kOk) {
       EXPECT_EQ(found, row.names_file ? file : base.root());
     }
     Ffs fs = base;
-    EXPECT_EQ(fs.Create(row.path, &found), row.create);
+    EXPECT_EQ(fspath::Create(fs, row.path, &found), row.create);
     fs = base;
-    EXPECT_EQ(fs.Mkdir(row.path, &found), row.mkdir);
+    EXPECT_EQ(fspath::Mkdir(fs, row.path, &found), row.mkdir);
     fs = base;
-    EXPECT_EQ(fs.Unlink(row.path), row.unlink);
+    EXPECT_EQ(fspath::Unlink(fs, row.path), row.unlink);
     if (row.unlink == FsErr::kOk) {
-      EXPECT_EQ(fs.Lookup("/a/b", &found), FsErr::kNotFound);
+      EXPECT_EQ(fspath::Lookup(fs, "/a/b", &found), FsErr::kNotFound);
     }
   }
+}
+
+// A checkpoint in which a directory entry names a free inode is rejected.
+// A load records each entry's inode record; before that, such an image
+// loaded and the first ListDir of the directory dereferenced a null inode.
+// The same surgery with the entry naming a live inode (the root) loads, so
+// the rejection is the entry's, not a misparse.
+TEST(FfsTest, CheckpointWithAnEntryNamingAFreeInodeIsRejected) {
+  Ffs fs = MakeFs();
+  Inum a = kInvalidInum;
+  ASSERT_EQ(fspath::Create(fs, "/a", &a), FsErr::kOk);
+  ASSERT_EQ(a, 2u);
+  ByteWriter w;
+  w.Put(fs);
+  const std::vector<std::uint8_t> good = w.Take();
+  // The root's entry "a" ends with inum 2; slot 2's live marker and the
+  // file's is_dir byte follow.
+  const std::vector<std::uint8_t> entry = {'a', 2, 0, 0, 0, 1, 0};
+  const auto at = std::search(good.begin(), good.end(), entry.begin(), entry.end());
+  ASSERT_NE(at, good.end());
+  const auto pos = static_cast<std::size_t>(at - good.begin());
+  // Slot 2 becomes free: its marker and the empty file's 61-byte field list
+  // (is_dir, size, three times, creation_seq, cg and two empty lists) give
+  // way to one zero byte.
+  auto freed = [&](Inum entry_inum) {
+    std::vector<std::uint8_t> bytes = good;
+    bytes[pos + 1] = static_cast<std::uint8_t>(entry_inum);
+    bytes[pos + 5] = 0;
+    bytes.erase(bytes.begin() + static_cast<std::ptrdiff_t>(pos) + 6,
+                bytes.begin() + static_cast<std::ptrdiff_t>(pos) + 6 + 61);
+    Ffs back = MakeFs();
+    ByteReader r(bytes.data(), bytes.size());
+    r.Get(back);
+    return r.Done();
+  };
+  EXPECT_TRUE(freed(fs.root()));
+  EXPECT_FALSE(freed(a));
+}
+
+// Every lookup starts at the root, so a checkpoint whose root is not a live
+// directory is rejected when it loads, not at its first lookup.
+TEST(FfsTest, CheckpointWhoseRootIsNotALiveDirectoryIsRejected) {
+  Ffs fs = MakeFs();
+  Inum a = kInvalidInum;
+  ASSERT_EQ(fspath::Create(fs, "/a", &a), FsErr::kOk);
+  ByteWriter w;
+  w.Put(fs);
+  const std::vector<std::uint8_t> good = w.Take();
+  // The root's 4 bytes come before free_data_blocks, creation_counter,
+  // dir_cg_rotor, log_head and now_hint: 8 + 8 + 4 + 8 + 8 bytes.
+  const std::size_t root_at = good.size() - 40;
+  ASSERT_EQ(good[root_at], fs.root());
+  auto loads_with_root = [&](std::uint32_t root) {
+    std::vector<std::uint8_t> bytes = good;
+    for (std::size_t i = 0; i < 4; ++i) {
+      bytes[root_at + i] = static_cast<std::uint8_t>(root >> (8 * i));
+    }
+    Ffs back = MakeFs();
+    ByteReader r(bytes.data(), bytes.size());
+    r.Get(back);
+    return r.Done();
+  };
+  EXPECT_TRUE(loads_with_root(fs.root()));
+  EXPECT_FALSE(loads_with_root(a));             // a file
+  EXPECT_FALSE(loads_with_root(a + 1));         // a free slot
+  EXPECT_FALSE(loads_with_root(kInvalidInum));  // inum 0, never used
+  EXPECT_FALSE(loads_with_root(0xFFFFFFFFu));   // past the table
 }
 
 TEST(FfsTest, ListDirReturnsCreationOrder) {
   Ffs fs = MakeFs();
   Inum inum = kInvalidInum;
-  ASSERT_EQ(fs.Create("/zz", &inum), FsErr::kOk);
-  ASSERT_EQ(fs.Create("/aa", &inum), FsErr::kOk);
-  ASSERT_EQ(fs.Create("/mm", &inum), FsErr::kOk);
+  ASSERT_EQ(fspath::Create(fs, "/zz", &inum), FsErr::kOk);
+  ASSERT_EQ(fspath::Create(fs, "/aa", &inum), FsErr::kOk);
+  ASSERT_EQ(fspath::Create(fs, "/mm", &inum), FsErr::kOk);
   std::vector<DirEntryInfo> entries;
-  ASSERT_EQ(fs.ListDir("/", &entries), FsErr::kOk);
+  ASSERT_EQ(fspath::ListDir(fs, "/", &entries), FsErr::kOk);
   ASSERT_EQ(entries.size(), 3u);
   EXPECT_EQ(entries[0].name, "zz");
   EXPECT_EQ(entries[1].name, "aa");
@@ -371,7 +439,7 @@ TEST(FfsTest, DirectoryIndexMatchesMapReference) {
   const std::vector<std::string> dirs = {"/", "/sub"};
   std::map<std::string, RefDir> ref;
   Ffs fs = MakeFs();
-  ASSERT_EQ(fs.Mkdir("/sub", nullptr), FsErr::kOk);
+  ASSERT_EQ(fspath::Mkdir(fs, "/sub", nullptr), FsErr::kOk);
   ref["/"].names["sub"] = 0;  // a directory; its inum is not checked
   ref["/"].order.push_back("sub");
   auto path = [](const std::string& dir, const std::string& name) {
@@ -387,7 +455,7 @@ TEST(FfsTest, DirectoryIndexMatchesMapReference) {
 
   auto create = [&](const std::string& dir, const std::string& name) {
     Inum inum = kInvalidInum;
-    const FsErr err = fs.Create(path(dir, name), &inum);
+    const FsErr err = fspath::Create(fs, path(dir, name), &inum);
     if (ref[dir].names.contains(name)) {
       ASSERT_EQ(err, FsErr::kExists) << path(dir, name);
       return;
@@ -397,7 +465,7 @@ TEST(FfsTest, DirectoryIndexMatchesMapReference) {
     ref[dir].order.push_back(name);
   };
   auto unlink = [&](const std::string& dir, const std::string& name) {
-    const FsErr err = fs.Unlink(path(dir, name));
+    const FsErr err = fspath::Unlink(fs, path(dir, name));
     if (!ref[dir].names.contains(name) || name == "sub") {
       ASSERT_NE(err, FsErr::kOk) << path(dir, name);
       return;
@@ -408,7 +476,7 @@ TEST(FfsTest, DirectoryIndexMatchesMapReference) {
   };
   auto rename = [&](const std::string& from_dir, const std::string& from,
                     const std::string& to_dir, const std::string& to) {
-    const FsErr err = fs.Rename(path(from_dir, from), path(to_dir, to));
+    const FsErr err = fspath::Rename(fs, path(from_dir, from), path(to_dir, to));
     if (!ref[from_dir].names.contains(from) || from == "sub" || to == "sub") {
       ASSERT_NE(err, FsErr::kOk) << path(from_dir, from) << " -> " << path(to_dir, to);
       return;
@@ -429,14 +497,14 @@ TEST(FfsTest, DirectoryIndexMatchesMapReference) {
   auto check = [&](const Ffs& f) {
     for (const std::string& dir : dirs) {
       std::vector<DirEntryInfo> listed;
-      ASSERT_EQ(f.ListDir(dir, &listed), FsErr::kOk);
+      ASSERT_EQ(fspath::ListDir(f, dir, &listed), FsErr::kOk);
       ASSERT_EQ(listed.size(), ref[dir].order.size()) << dir;
       for (std::size_t i = 0; i < listed.size(); ++i) {
         ASSERT_EQ(listed[i].name, ref[dir].order[i]) << dir << " entry " << i;
       }
       for (const auto& [name, inum] : ref[dir].names) {
         Inum found = kInvalidInum;
-        ASSERT_EQ(f.Lookup(path(dir, name), &found), FsErr::kOk) << path(dir, name);
+        ASSERT_EQ(fspath::Lookup(f, path(dir, name), &found), FsErr::kOk) << path(dir, name);
         if (name != "sub") {
           ASSERT_EQ(found, inum) << path(dir, name);
         }
@@ -446,7 +514,8 @@ TEST(FfsTest, DirectoryIndexMatchesMapReference) {
       const std::size_t slash = p.rfind('/');
       const std::string dir = slash == 0 ? "/" : p.substr(0, slash);
       Inum found = kInvalidInum;
-      ASSERT_EQ(f.Lookup(p, &found) == FsErr::kOk, ref[dir].names.contains(p.substr(slash + 1)))
+      ASSERT_EQ(fspath::Lookup(f, p, &found) == FsErr::kOk,
+                ref[dir].names.contains(p.substr(slash + 1)))
           << p;
     }
   };
@@ -518,7 +587,7 @@ void ReresolvingWalk(const Ffs& fs, std::string_view path, Read&& read) {
       }
     }
     Inum next = kInvalidInum;
-    if (fs.Lookup(path.substr(0, end), &next) != FsErr::kOk) {
+    if (fspath::Lookup(fs, path.substr(0, end), &next) != FsErr::kOk) {
       return;
     }
     cur = next;
@@ -528,12 +597,13 @@ void ReresolvingWalk(const Ffs& fs, std::string_view path, Read&& read) {
 }
 
 // Seeded trees (the root holds over 64 entries, so its entries span two
-// blocks) and walks of existing and missing paths. From inside the walk's
-// reads, as another process would while the walk blocks, one of: a
-// directory on the path moves away and the names below it are built anew,
-// a directory on the path moves away, an unrelated file appears, or
-// nothing. Twin file systems take the same change at the same read, and
-// WalkReads must read the blocks the re-resolving walk reads.
+// blocks) and walks of existing and missing paths, each fed the record of
+// its own lookup. From inside the walk's reads, as another process would
+// while the walk blocks, one of: a directory on the path moves away and the
+// names below it are built anew, a directory on the path moves away, an
+// unrelated file appears, or nothing. Twin file systems take the same
+// change at the same read, and WalkReads must read the blocks the
+// re-resolving walk reads.
 TEST(FfsWalkDifferentialTest, WalkReadsMatchesTheReresolvingWalk) {
   Ffs base = MakeFs();
   std::vector<std::string> dirs = {""};
@@ -541,7 +611,7 @@ TEST(FfsWalkDifferentialTest, WalkReadsMatchesTheReresolvingWalk) {
   Rng rng(0x3a1c);
   for (int i = 0; i < 70; ++i) {
     const std::string path = "/f" + std::to_string(i);
-    ASSERT_EQ(base.Create(path, nullptr), FsErr::kOk);
+    ASSERT_EQ(fspath::Create(base, path, nullptr), FsErr::kOk);
     paths.push_back(path);
   }
   for (int i = 0; i < 40; ++i) {
@@ -550,12 +620,12 @@ TEST(FfsWalkDifferentialTest, WalkReadsMatchesTheReresolvingWalk) {
       continue;
     }
     const std::string dir = parent + "/d" + std::to_string(i);
-    ASSERT_EQ(base.Mkdir(dir, nullptr), FsErr::kOk);
+    ASSERT_EQ(fspath::Mkdir(base, dir, nullptr), FsErr::kOk);
     dirs.push_back(dir);
     paths.push_back(dir);
     for (int f = 0; f < 3; ++f) {
       const std::string file = dir + "/f" + std::to_string(f);
-      ASSERT_EQ(base.Create(file, nullptr), FsErr::kOk);
+      ASSERT_EQ(fspath::Create(base, file, nullptr), FsErr::kOk);
       paths.push_back(file);
     }
   }
@@ -568,9 +638,9 @@ TEST(FfsWalkDifferentialTest, WalkReadsMatchesTheReresolvingWalk) {
   // directory.
   auto rebuild = [](Ffs& fs, const std::string& path, std::size_t cut, bool leaf_is_dir) {
     for (std::size_t slash = cut; slash != std::string::npos; slash = path.find('/', slash + 1)) {
-      (void)fs.Mkdir(path.substr(0, slash), nullptr);
+      (void)fspath::Mkdir(fs, path.substr(0, slash), nullptr);
     }
-    (void)(leaf_is_dir ? fs.Mkdir(path, nullptr) : fs.Create(path, nullptr));
+    (void)(leaf_is_dir ? fspath::Mkdir(fs, path, nullptr) : fspath::Create(fs, path, nullptr));
   };
   int walks = 0;
   int moved_mid_walk = 0;
@@ -580,7 +650,7 @@ TEST(FfsWalkDifferentialTest, WalkReadsMatchesTheReresolvingWalk) {
     Ffs reference = base;
     const std::string path = paths[rng.Below(paths.size())];
     InodeAttr attr;
-    const bool leaf_is_dir = base.GetAttrPath(path, &attr) == FsErr::kOk && attr.is_dir;
+    const bool leaf_is_dir = fspath::GetAttr(base, path, &attr) == FsErr::kOk && attr.is_dir;
     const std::uint64_t at_read = rng.Below(6);
     const std::uint64_t change = rng.Below(4);
     // A directory on the path (a proper prefix), when it has one.
@@ -598,19 +668,21 @@ TEST(FfsWalkDifferentialTest, WalkReadsMatchesTheReresolvingWalk) {
         return;
       }
       if (change == 3) {
-        (void)fs.Create("/unrelated" + std::to_string(round), nullptr);
+        (void)fspath::Create(fs, "/unrelated" + std::to_string(round), nullptr);
         return;
       }
       if (change == 0 || cut == std::string::npos) {
         return;
       }
-      if (fs.Rename(path.substr(0, cut), moved) == FsErr::kOk && change == 1) {
+      if (fspath::Rename(fs, path.substr(0, cut), moved) == FsErr::kOk && change == 1) {
         rebuild(fs, path, cut, leaf_is_dir);
       }
     };
     std::vector<std::uint64_t> got;
     std::vector<std::uint64_t> want;
-    subject.WalkReads(path, [&](std::uint64_t block) {
+    PathLookup rec;
+    (void)subject.Lookup(path, &rec);
+    subject.WalkReads(rec, [&](std::uint64_t block) {
       got.push_back(block);
       change_at(subject, got.size() - 1);
     });
@@ -628,10 +700,159 @@ TEST(FfsWalkDifferentialTest, WalkReadsMatchesTheReresolvingWalk) {
   EXPECT_GT(moved_mid_walk, 40) << "too few walks saw their path move under them";
 }
 
+// The record against the re-resolving walk and the path-resolving calls,
+// over every point a change can land: after the lookup and before the walk,
+// inside each read, and after the walk. The tree adds a chain of
+// directories deeper than PathLookup::kNodes, and the paths include
+// lookups that stop at a missing component or at a file used as a
+// directory, at every depth. The changes are: a directory on the path moves
+// away and the path is built anew, a directory on the path moves away, the
+// path's leaf is unlinked, the missing leaf is created, the leaf is renamed
+// within its directory, an unrelated file appears, or nothing. Twin file
+// systems take the same change at the same point; the subject walks with
+// its record and then acts with it (GetAttr, ListDir, Unlink), the
+// reference re-resolves each time, and both must read the same blocks and
+// give the same answers.
+TEST(FfsWalkDifferentialTest, RecordFedWalkMatchesTheReresolvingWalk) {
+  Ffs base = MakeFs();
+  std::vector<std::string> paths;
+  for (int i = 0; i < 70; ++i) {
+    const std::string path = "/f" + std::to_string(i);
+    ASSERT_EQ(fspath::Create(base, path, nullptr), FsErr::kOk);
+    paths.push_back(path);
+  }
+  std::string deep;
+  for (int depth = 0; depth < 12; ++depth) {
+    deep += "/l" + std::to_string(depth);
+    ASSERT_EQ(fspath::Mkdir(base, deep, nullptr), FsErr::kOk);
+    ASSERT_EQ(fspath::Create(base, deep + "/f", nullptr), FsErr::kOk);
+    paths.push_back(deep);
+    paths.push_back(deep + "/f");
+    paths.push_back(deep + "/missing");
+    paths.push_back(deep + "/missing/g");
+    paths.push_back(deep + "/f/under-a-file");
+  }
+  ASSERT_GT(std::count(deep.begin(), deep.end(), '/'), static_cast<long>(PathLookup::kNodes));
+  paths.push_back("/");
+  paths.push_back("//l0///l1/f/");
+
+  Rng rng(0x5eed);
+  int deep_walks = 0;
+  int stopped_lookups = 0;
+  int attrs_compared = 0;
+  for (int round = 0; round < 1500; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    Ffs subject = base;
+    Ffs reference = base;
+    const std::string path = paths[rng.Below(paths.size())];
+    InodeAttr attr;
+    const FsErr leaf_err = fspath::GetAttr(base, path, &attr);
+    const bool leaf_is_dir = leaf_err == FsErr::kOk && attr.is_dir;
+    // -1: after the lookup, before the walk; past the last read: after it.
+    const auto at_read = static_cast<std::int64_t>(rng.Below(16)) - 1;
+    const std::uint64_t change = rng.Below(7);
+    std::size_t cut = std::string::npos;
+    for (std::size_t slash = path.find('/', 1); slash != std::string::npos;
+         slash = path.find('/', slash + 1)) {
+      if (slash > 1 && rng.Below(3) == 0) {
+        cut = slash;
+        break;
+      }
+    }
+    const std::string moved = "/moved" + std::to_string(round);
+    auto apply = [&](Ffs& fs) {
+      switch (change) {
+        case 1:
+        case 2:
+          if (cut != std::string::npos && fspath::Rename(fs, path.substr(0, cut), moved) ==
+                                              FsErr::kOk && change == 1) {
+            for (std::size_t slash = cut; slash != std::string::npos;
+                 slash = path.find('/', slash + 1)) {
+              (void)fspath::Mkdir(fs, path.substr(0, slash), nullptr);
+            }
+            (void)(leaf_is_dir ? fspath::Mkdir(fs, path, nullptr)
+                               : fspath::Create(fs, path, nullptr));
+          }
+          break;
+        case 3:
+          (void)fspath::Unlink(fs, path);
+          break;
+        case 4:
+          (void)fspath::Create(fs, path, nullptr);
+          break;
+        case 5:
+          (void)fspath::Rename(fs, path, path + "x");
+          break;
+        case 6:
+          (void)fspath::Create(fs, "/unrelated" + std::to_string(round), nullptr);
+          break;
+        default:
+          break;
+      }
+    };
+    std::vector<std::uint64_t> got;
+    std::vector<std::uint64_t> want;
+    PathLookup rec;
+    if (subject.Lookup(path, &rec) != FsErr::kOk) {
+      ++stopped_lookups;
+    }
+    if (at_read < 0) {
+      apply(subject);
+      apply(reference);
+    }
+    subject.WalkReads(rec, [&](std::uint64_t block) {
+      got.push_back(block);
+      if (static_cast<std::int64_t>(got.size()) - 1 == at_read) {
+        apply(subject);
+      }
+    });
+    ReresolvingWalk(reference, path, [&](std::uint64_t block) {
+      want.push_back(block);
+      if (static_cast<std::int64_t>(want.size()) - 1 == at_read) {
+        apply(reference);
+      }
+    });
+    ASSERT_EQ(got, want) << "walk of " << path;
+    if (at_read >= static_cast<std::int64_t>(want.size())) {
+      apply(subject);
+      apply(reference);
+    }
+    if (rec.components >= PathLookup::kNodes) {
+      ++deep_walks;
+    }
+
+    // The calls that act, fed the record after the change.
+    InodeAttr got_attr;
+    InodeAttr want_attr;
+    const FsErr got_stat = subject.GetAttr(rec, &got_attr);
+    ASSERT_EQ(got_stat, fspath::GetAttr(reference, path, &want_attr)) << path;
+    if (got_stat == FsErr::kOk) {
+      EXPECT_EQ(got_attr.inum, want_attr.inum) << path;
+      EXPECT_EQ(got_attr.size, want_attr.size) << path;
+      ++attrs_compared;
+    }
+    std::vector<DirEntryInfo> got_list;
+    std::vector<DirEntryInfo> want_list;
+    ASSERT_EQ(subject.ListDir(rec, &got_list), fspath::ListDir(reference, path, &want_list));
+    ASSERT_EQ(got_list.size(), want_list.size()) << path;
+    for (std::size_t i = 0; i < got_list.size(); ++i) {
+      EXPECT_EQ(got_list[i].inum, want_list[i].inum) << path;
+    }
+    Inum got_freed = kInvalidInum;
+    Inum want_freed = kInvalidInum;
+    ASSERT_EQ(subject.Unlink(rec, &got_freed), fspath::Unlink(reference, path, &want_freed))
+        << path;
+    EXPECT_EQ(got_freed, want_freed) << path;
+  }
+  EXPECT_GT(deep_walks, 200) << "too few walks past the record's capacity";
+  EXPECT_GT(stopped_lookups, 300) << "too few lookups that stop";
+  EXPECT_GT(attrs_compared, 300);
+}
+
 TEST(FfsTest, SetTimesRoundTrips) {
   Ffs fs = MakeFs();
   Inum inum = kInvalidInum;
-  ASSERT_EQ(fs.Create("/a", &inum), FsErr::kOk);
+  ASSERT_EQ(fspath::Create(fs, "/a", &inum), FsErr::kOk);
   ASSERT_EQ(fs.SetTimes(inum, Seconds(1.0), Seconds(2.0)), FsErr::kOk);
   InodeAttr attr;
   ASSERT_EQ(fs.GetAttr(inum, &attr), FsErr::kOk);
@@ -649,14 +870,14 @@ TEST(FfsTest, AgingDecorrelatesInumFromLayout) {
   constexpr std::uint64_t kSize = 8192;
   for (int i = 0; i < kFiles; ++i) {
     Inum inum = kInvalidInum;
-    ASSERT_EQ(fs.Create("/f" + std::to_string(i), &inum), FsErr::kOk);
+    ASSERT_EQ(fspath::Create(fs, "/f" + std::to_string(i), &inum), FsErr::kOk);
     ASSERT_EQ(fs.Resize(inum, kSize, 0), FsErr::kOk);
   }
   auto rank_correlation = [&]() {
     // Collect (inum, first block) for every live file and compute the
     // Pearson correlation of the two sequences.
     std::vector<DirEntryInfo> entries;
-    EXPECT_EQ(fs.ListDir("/", &entries), FsErr::kOk);
+    EXPECT_EQ(fspath::ListDir(fs, "/", &entries), FsErr::kOk);
     std::vector<std::pair<Inum, std::uint64_t>> points;
     for (const auto& e : entries) {
       points.emplace_back(e.inum, fs.FirstBlockOf(e.inum));
@@ -692,11 +913,11 @@ TEST(FfsTest, AgingDecorrelatesInumFromLayout) {
       const int victim = (epoch * 17 + k * 23) % kFiles;
       const std::string old_name = "/f" + std::to_string(victim);
       Inum dummy = kInvalidInum;
-      if (fs.Lookup(old_name, &dummy) == FsErr::kOk) {
-        ASSERT_EQ(fs.Unlink(old_name), FsErr::kOk);
+      if (fspath::Lookup(fs, old_name, &dummy) == FsErr::kOk) {
+        ASSERT_EQ(fspath::Unlink(fs, old_name), FsErr::kOk);
       }
       Inum inum = kInvalidInum;
-      ASSERT_EQ(fs.Create("/new" + std::to_string(created++), &inum), FsErr::kOk);
+      ASSERT_EQ(fspath::Create(fs, "/new" + std::to_string(created++), &inum), FsErr::kOk);
       ASSERT_EQ(fs.Resize(inum, kSize, 0), FsErr::kOk);
     }
   }
@@ -706,7 +927,7 @@ TEST(FfsTest, AgingDecorrelatesInumFromLayout) {
 TEST(FfsTest, InodeBlockLocatedInOwningGroup) {
   Ffs fs = MakeFs();
   Inum inum = kInvalidInum;
-  ASSERT_EQ(fs.Create("/a", &inum), FsErr::kOk);
+  ASSERT_EQ(fspath::Create(fs, "/a", &inum), FsErr::kOk);
   const std::uint64_t block = fs.InodeBlockOf(inum);
   EXPECT_LT(block, fs.params().blocks_per_cg);  // root dir lives in group 0
 }
@@ -715,12 +936,12 @@ TEST(FfsTest, FilesInDifferentDirsLandInDifferentGroups) {
   Ffs fs = MakeFs();
   Inum d1 = kInvalidInum;
   Inum d2 = kInvalidInum;
-  ASSERT_EQ(fs.Mkdir("/d1", &d1), FsErr::kOk);
-  ASSERT_EQ(fs.Mkdir("/d2", &d2), FsErr::kOk);
+  ASSERT_EQ(fspath::Mkdir(fs, "/d1", &d1), FsErr::kOk);
+  ASSERT_EQ(fspath::Mkdir(fs, "/d2", &d2), FsErr::kOk);
   Inum f1 = kInvalidInum;
   Inum f2 = kInvalidInum;
-  ASSERT_EQ(fs.Create("/d1/a", &f1), FsErr::kOk);
-  ASSERT_EQ(fs.Create("/d2/a", &f2), FsErr::kOk);
+  ASSERT_EQ(fspath::Create(fs, "/d1/a", &f1), FsErr::kOk);
+  ASSERT_EQ(fspath::Create(fs, "/d2/a", &f2), FsErr::kOk);
   ASSERT_EQ(fs.Resize(f1, 8192, 0), FsErr::kOk);
   ASSERT_EQ(fs.Resize(f2, 8192, 0), FsErr::kOk);
   const std::uint64_t cg1 = fs.FirstBlockOf(f1) / fs.params().blocks_per_cg;
@@ -731,7 +952,7 @@ TEST(FfsTest, FilesInDifferentDirsLandInDifferentGroups) {
 TEST(FfsTest, LargeFileSpansGroupsMostlyContiguously) {
   Ffs fs = MakeFs();
   Inum inum = kInvalidInum;
-  ASSERT_EQ(fs.Create("/big", &inum), FsErr::kOk);
+  ASSERT_EQ(fspath::Create(fs, "/big", &inum), FsErr::kOk);
   ASSERT_EQ(fs.Resize(inum, 128ULL << 20, 0), FsErr::kOk);  // 128 MB
   EXPECT_GT(fs.ContiguityOf(inum), 0.99);
 }

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "tests/ffs_paths.h"
 
 namespace graysim {
 namespace {
@@ -383,7 +387,7 @@ TEST(OsTest, WalkThatBlocksReresolvesAfterARenameOnItsPath) {
     InodeAttr c;
     EXPECT_EQ(os.Stat(pid, "/d0/c", &c), 0);  // warms the root's directory block
     Inum a = kInvalidInum;
-    EXPECT_EQ(os.fs(0).Lookup("/a", &a), FsErr::kOk);
+    EXPECT_EQ(fspath::Lookup(os.fs(0), "/a", &a), FsErr::kOk);
     std::uint64_t first = 0;
     std::uint64_t count = 0;
     EXPECT_EQ(os.fs(0).DirBlocks(a, &first, &count), FsErr::kOk);
@@ -402,7 +406,7 @@ TEST(OsTest, WalkThatBlocksReresolvesAfterARenameOnItsPath) {
         },
         [&](Pid p) {
           os.Sleep(p, 1000);  // lands inside the stat's cold read of /d0/a's block
-          EXPECT_EQ(os.fs_mutable(0).Rename("/a", "/z"), FsErr::kOk);
+          EXPECT_EQ(fspath::Rename(os.fs_mutable(0), "/a", "/z"), FsErr::kOk);
         },
     });
     out.misses = os.stats().cache_misses - before.cache_misses;
@@ -418,6 +422,123 @@ TEST(OsTest, WalkThatBlocksReresolvesAfterARenameOnItsPath) {
   EXPECT_EQ(reference.meta_reads, 2u);
   EXPECT_EQ(walk.elapsed, reference.elapsed);
   EXPECT_GT(walk.elapsed, Micros(100.0)) << "the walk never waited for the disk";
+}
+
+// The races below block a path syscall's walk on /d0/a's cold directory
+// block while another process renames /a away and builds /a/b/f anew. The
+// syscall resolved the path before its walk, so its record is stale when
+// the walk wakes: the walk must step as the re-resolving walk did (root,
+// old /a, new /a/b, new f's inode block) and the call must act on the path
+// as it now stands. Its twin machine makes the same directories and file
+// before the run under other names (/c2, /a/b2 and /a/b2/f take the inums
+// the race's /a, /a/b and /a/b/f get), and runs the same syscall on
+// /d0/a/b2/f with no change during it: an uncontended walk through old /a
+// and /a/b2 reads exactly the blocks the re-resolving walk reads, and the
+// same charges draw the same jitter, so the two must agree on the result,
+// the reads, the misses and the charged time.
+struct RebuiltPathRace {
+  int rc = -1;
+  Inum acted_on = kInvalidInum;  // the inode the path named when the call acted
+  Nanos elapsed = 0;
+  std::uint64_t meta_reads = 0;
+  std::uint64_t misses = 0;
+};
+
+// Runs `call` on /d0/a/b/f against the rebuild (twin = false), or on
+// /d0/a/b2/f of the twin tree (twin = true). `leaf_exists`: whether f (and
+// the twin's b2/f) exists before the call.
+template <class Call>
+RebuiltPathRace RaceRebuiltPath(bool twin, bool leaf_exists, Call&& call, Os** keep = nullptr) {
+  auto os = std::make_unique<Os>(PlatformProfile::Linux22());
+  const Pid pid = os->default_pid();
+  EXPECT_EQ(os->Mkdir(pid, "/d0/c"), 0);
+  EXPECT_EQ(os->Mkdir(pid, "/d0/a"), 0);
+  EXPECT_EQ(os->Mkdir(pid, "/d0/a/b"), 0);
+  if (leaf_exists) {
+    EXPECT_EQ(os->Close(pid, os->Creat(pid, "/d0/a/b/f")), 0);
+  }
+  RebuiltPathRace out;
+  Ffs& fs = os->fs_mutable(0);
+  if (twin) {
+    EXPECT_EQ(fspath::Mkdir(fs, "/c2", nullptr), FsErr::kOk);
+    EXPECT_EQ(fspath::Mkdir(fs, "/a/b2", nullptr), FsErr::kOk);
+    if (leaf_exists) {
+      EXPECT_EQ(fspath::Create(fs, "/a/b2/f", &out.acted_on), FsErr::kOk);
+    }
+  }
+  os->FlushFileCache();
+  InodeAttr c;
+  EXPECT_EQ(os->Stat(pid, "/d0/c", &c), 0);  // warms the root's directory block
+
+  const OsStats before = os->stats();
+  os->RunProcesses({
+      [&](Pid p) {
+        const Nanos start = os->Now();
+        out.rc = call(*os, p, twin ? "/d0/a/b2/f" : "/d0/a/b/f");
+        out.elapsed = os->Now() - start;
+      },
+      [&](Pid p) {
+        os->Sleep(p, 1000);  // lands inside the call's cold read of /d0/a's block
+        if (twin) {
+          return;
+        }
+        EXPECT_EQ(fspath::Rename(fs, "/a", "/z"), FsErr::kOk);
+        EXPECT_EQ(fspath::Mkdir(fs, "/a", nullptr), FsErr::kOk);
+        EXPECT_EQ(fspath::Mkdir(fs, "/a/b", nullptr), FsErr::kOk);
+        EXPECT_EQ(fspath::Create(fs, "/a/b/f", &out.acted_on), FsErr::kOk);
+      },
+  });
+  out.misses = os->stats().cache_misses - before.cache_misses;
+  out.meta_reads = os->stats().cache_hits - before.cache_hits + out.misses;
+  if (keep != nullptr) {
+    *keep = os.release();
+  }
+  return out;
+}
+
+TEST(OsTest, UnlinkThatBlocksUnlinksThePathAsRebuiltDuringItsWalk) {
+  const auto unlink = [](Os& os, Pid p, std::string_view path) { return os.Unlink(p, path); };
+  Os* raced_os = nullptr;
+  const RebuiltPathRace raced = RaceRebuiltPath(/*twin=*/false, true, unlink, &raced_os);
+  std::unique_ptr<Os> raced_machine(raced_os);
+  const RebuiltPathRace twin = RaceRebuiltPath(/*twin=*/true, true, unlink);
+  EXPECT_EQ(raced.rc, 0);
+  EXPECT_EQ(raced.rc, twin.rc);
+  EXPECT_EQ(raced.acted_on, twin.acted_on);
+  EXPECT_EQ(raced.meta_reads, twin.meta_reads);
+  EXPECT_EQ(raced.misses, twin.misses);
+  EXPECT_EQ(raced.elapsed, twin.elapsed);
+  EXPECT_GE(raced.misses, 2u) << "the walk did not read the rebuilt path";
+  EXPECT_GT(raced.elapsed, Micros(100.0)) << "the walk never waited for the disk";
+  // The unlink removed the rebuilt file, not the one moved to /z.
+  const Pid pid = raced_machine->default_pid();
+  InodeAttr attr;
+  EXPECT_EQ(raced_machine->Stat(pid, "/d0/a/b/f", &attr), -static_cast<int>(FsErr::kNotFound));
+  EXPECT_EQ(raced_machine->Stat(pid, "/d0/z/b/f", &attr), 0);
+}
+
+TEST(OsTest, CreatThatBlocksWalksThePathAsRebuiltDuringItsWalk) {
+  const auto creat = [](Os& os, Pid p, std::string_view path) {
+    const int fd = os.Creat(p, path);
+    if (fd >= 0) {
+      EXPECT_EQ(os.Close(p, fd), 0);
+    }
+    return fd;
+  };
+  // The file exists (truncated), and the file is missing (created by the
+  // call before its walk, which then steps through the re-stamped record).
+  for (const bool leaf_exists : {true, false}) {
+    SCOPED_TRACE(leaf_exists ? "truncate" : "create");
+    const RebuiltPathRace raced = RaceRebuiltPath(/*twin=*/false, leaf_exists, creat);
+    const RebuiltPathRace twin = RaceRebuiltPath(/*twin=*/true, leaf_exists, creat);
+    EXPECT_GE(raced.rc, 0);
+    EXPECT_EQ(raced.rc, twin.rc);
+    EXPECT_EQ(raced.meta_reads, twin.meta_reads);
+    EXPECT_EQ(raced.misses, twin.misses);
+    EXPECT_EQ(raced.elapsed, twin.elapsed);
+    EXPECT_GE(raced.misses, 2u) << "the walk did not read the rebuilt path";
+    EXPECT_GT(raced.elapsed, Micros(100.0)) << "the walk never waited for the disk";
+  }
 }
 
 // Disk numbers are parsed digit by digit against the disk count, so no

@@ -13,6 +13,7 @@
 #include "src/gray/toolbox/stats.h"
 #include "src/mem/mem_system.h"
 #include "src/sim/rng.h"
+#include "tests/ffs_paths.h"
 #include "tests/test_util.h"
 
 namespace graysim {
@@ -110,7 +111,7 @@ TEST_P(FfsAllocatorProperty, FreeBlockAccountingUnderChurn) {
     if (files.size() < 50 && rng.Chance(0.6)) {
       const std::string path = "/f" + std::to_string(next_name++);
       Inum inum = kInvalidInum;
-      ASSERT_EQ(fs.Create(path, &inum), FsErr::kOk);
+      ASSERT_EQ(fspath::Create(fs, path, &inum), FsErr::kOk);
       const std::uint64_t size = (1 + rng.Below(64)) * 4096;
       ASSERT_EQ(fs.Resize(inum, size, 0), FsErr::kOk);
       files.emplace_back(path, size);
@@ -118,14 +119,14 @@ TEST_P(FfsAllocatorProperty, FreeBlockAccountingUnderChurn) {
     } else if (!files.empty()) {
       const std::size_t victim = rng.Below(files.size());
       live_blocks -= files[victim].second / 4096;
-      ASSERT_EQ(fs.Unlink(files[victim].first), FsErr::kOk);
+      ASSERT_EQ(fspath::Unlink(fs, files[victim].first), FsErr::kOk);
       files.erase(files.begin() + static_cast<std::ptrdiff_t>(victim));
     }
     ASSERT_EQ(fs.free_blocks(), initial_free - live_blocks);
   }
   // Delete everything: all blocks must return.
   for (const auto& [path, size] : files) {
-    ASSERT_EQ(fs.Unlink(path), FsErr::kOk);
+    ASSERT_EQ(fspath::Unlink(fs, path), FsErr::kOk);
   }
   EXPECT_EQ(fs.free_blocks(), initial_free);
 }
@@ -138,11 +139,11 @@ TEST_P(FfsAllocatorProperty, NoTwoFilesShareABlock) {
   std::vector<Inum> inums;
   for (int i = 0; i < 60; ++i) {
     Inum inum = kInvalidInum;
-    ASSERT_EQ(fs.Create("/f" + std::to_string(i), &inum), FsErr::kOk);
+    ASSERT_EQ(fspath::Create(fs, "/f" + std::to_string(i), &inum), FsErr::kOk);
     ASSERT_EQ(fs.Resize(inum, (1 + rng.Below(32)) * 4096, 0), FsErr::kOk);
     inums.push_back(inum);
     if (i % 5 == 4) {  // churn to create holes
-      ASSERT_EQ(fs.Unlink("/f" + std::to_string(i - 2)), FsErr::kOk);
+      ASSERT_EQ(fspath::Unlink(fs, "/f" + std::to_string(i - 2)), FsErr::kOk);
       std::erase(inums, inums[inums.size() - 3]);
     }
   }
