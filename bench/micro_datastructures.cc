@@ -12,9 +12,10 @@
 // three depths (O(1)) while the heap degrades logarithmically. A final
 // section prices Machine::Snapshot/Fork — nanoseconds per fork and bytes
 // per image on a warmed machine — the costs the robustness-matrix
-// warm-once/fork-per-cell pattern depends on. The last prices checkpoint
-// encode and decode in memory, the CPU half of SaveMachineImage and
-// LoadMachineImage without the host file I/O.
+// warm-once/fork-per-cell pattern depends on. The last two price the
+// checkpoint CRC over 1 MiB, and checkpoint encode and decode in memory:
+// the CPU half of SaveMachineImage and LoadMachineImage without the host
+// file I/O.
 //
 // Two rows before those price the simulated syscall path every ICL probe
 // takes: a fiber switch (two fibers yielding to each other through a bare
@@ -49,6 +50,7 @@
 #include "src/os/machine.h"
 #include "src/os/machine_image_io.h"
 #include "src/os/scheduler.h"
+#include "src/sim/byte_io.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/ref_event_heap.h"
 #include "src/workloads/filegen.h"
@@ -469,6 +471,30 @@ LoopResult BenchFlushFileCache() {
   return r;
 }
 
+// Prices the public Crc32 over a seeded 1 MiB buffer, the checksum each
+// checkpoint save and load runs over the whole image. Where the CPU has a
+// carry-less multiply it takes about a tenth of the time of the slice-by-8
+// loop it falls back to, so a build that quietly runs the table path fails
+// perf-smoke's 5x gate here.
+void BenchCrc32(gbench::JsonResults& json) {
+  std::vector<std::uint8_t> bytes(std::size_t{1} << 20);
+  XorShift rng{0xC4C32};
+  for (std::uint8_t& b : bytes) {
+    b = static_cast<std::uint8_t>(rng.Next());
+  }
+  constexpr int kIters = 2000;
+  std::uint32_t crc = 0;
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < kIters; ++i) {
+    crc = graysim::Crc32(bytes.data(), bytes.size(), crc);  // chained: no pass can be skipped
+  }
+  const double secs =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  std::printf("%-28s %10.0f ops/s %10.1f MB/s (crc %08x)\n", "crc32_1mib", kIters / secs,
+              kIters * static_cast<double>(bytes.size()) / 1e6 / secs, crc);
+  json.Add("crc32_ops_per_s", kIters / secs, "ops/s");
+}
+
 // Prices EncodeMachineImage and DecodeMachineImage on a populated 64 MB,
 // two-disk machine (perfbench ckpt_restart's shape). Most of its image is
 // FFS cylinder-group bitmaps and inode-slot flags, and every byte is
@@ -563,6 +589,7 @@ int main() {
   BenchMachineAllocs(json);
   Report(json, "sched_dispatch", BenchSchedDispatch(), "allocs");
   Report(json, "flush_file_cache", BenchFlushFileCache(), "allocs");
+  BenchCrc32(json);
   if (!BenchImageCodec(json)) {
     return 1;
   }

@@ -136,12 +136,63 @@ void PageCache::DropFilePagesFrom(Inum inum, std::uint64_t first_page) {
   });
 }
 
-void PageCache::RebuildPageSpans() {
-  pages_.ForEach([&](std::uint64_t key, FrameId) {
-    if (FileState* file = files_.Find(KeyInum(key)); file != nullptr) {
-      file->page_span = std::max(file->page_span, KeyPage(key) + 1);
+bool PageCache::Consistent() const {
+  const FrameTable& frames = mem_->frames();
+  // True when frame `f` is in the table under the key its identity packs
+  // to. An identity that does not pack (a word past 32 bits, or the empty
+  // key) is in no table.
+  const auto in_table = [&](FrameId f) {
+    const std::uint64_t inum = frames.key1(f);
+    const std::uint64_t page = frames.key2(f);
+    if ((inum >> 32) != 0 || (page >> 32) != 0) {
+      return false;
     }
+    const std::uint64_t key = Key(static_cast<Inum>(inum), page);
+    const FrameId* ref = key == FlatMap<FrameId>::kEmptyKey ? nullptr : pages_.Find(key);
+    return ref != nullptr && *ref == f;
+  };
+  std::uint64_t dirty = 0;
+  const auto resident = [&](FrameId f) {
+    dirty += frames.dirty(f) ? 1 : 0;
+    return in_table(f);
+  };
+  const auto dirty_and_resident = [&](FrameId f) { return frames.dirty(f) && in_table(f); };
+  // Distinct frames have distinct keys here, so a table no larger than the
+  // file LRU holds nothing else, and a chain of the dirty count holds every
+  // dirty file frame.
+  return pages_.size() == mem_->file_lru().size() &&
+         mem_->file_lru().WalksExactly(frames, resident) && dirty == dirty_order_.size() &&
+         dirty_order_.WalksExactly(frames, dirty_and_resident);
+}
+
+bool PageCache::RebuildPageSpans() {
+  // The file LRU holds exactly the table's frames (Consistent), and each
+  // frame names its (inum, page), so two walks of it cost the resident
+  // pages rather than the table's slots. page_span first counts each
+  // file's pages, then becomes its span. A record with no pages is erased
+  // when its last page goes, so none loads.
+  const FrameTable& frames = mem_->frames();
+  const LruList& lru = mem_->file_lru();
+  bool counted = true;
+  for (FrameId f = lru.front(); f != kNoFrame; f = LruList::Next(frames, f)) {
+    if (FileState* file = files_.Find(static_cast<Inum>(frames.key1(f))); file != nullptr) {
+      ++file->page_span;
+    } else {
+      counted = false;
+    }
+  }
+  files_.ForEach([&](std::uint64_t, FileState& file) {
+    counted = counted && file.pages != 0 && file.page_span == file.pages;
+    file.page_span = 0;
   });
+  if (!counted) {
+    return false;
+  }
+  for (FrameId f = lru.front(); f != kNoFrame; f = LruList::Next(frames, f)) {
+    FileState* file = files_.Find(static_cast<Inum>(frames.key1(f)));
+    file->page_span = std::max(file->page_span, frames.key2(f) + 1);
+  }
+  return true;
 }
 
 void PageCache::DropAll(std::vector<std::pair<Inum, std::uint64_t>>* dirty_dropped) {

@@ -156,9 +156,18 @@ class PageCache {
     v("files", s.files_);
     v("dirty_order", s.dirty_order_);
   }
-  // Recomputes every file's page_span from the page table (after a restore
-  // that wrote only the page counts).
-  void RebuildPageSpans();
+  // False when the decoded page table or dirty chain disagrees with the
+  // MemSystem's frames (ByteReader::Get rejects such a checkpoint): the
+  // table must hold exactly the file LRU's frames, each under the key its
+  // frame records, and the dirty chain must walk from head to tail in its
+  // recorded size through exactly the file frames marked dirty.
+  [[nodiscard]] bool Consistent() const;
+  // Recomputes every file's page_span from the resident pages (after a
+  // restore that wrote only the page counts, and that Consistent accepted).
+  // False when a resident page's file has no record, or a record's page
+  // count is not its number of resident pages (evictions and drops would
+  // then reach a file whose record is gone).
+  [[nodiscard]] bool RebuildPageSpans();
 
   // Raw table access for tests that compare or perturb layouts.
   [[nodiscard]] const FlatMap<FrameId>& pages_map() const { return pages_; }

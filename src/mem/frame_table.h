@@ -142,6 +142,9 @@ class FrameTable {
   }
 
   [[nodiscard]] std::uint64_t live_frames() const { return hot_.size() - free_.size(); }
+  // Frames in the slab, live or free: every FrameId it hands out is below
+  // this.
+  [[nodiscard]] std::uint64_t size() const { return hot_.size(); }
 
   // Heap footprint of the slab arrays (snapshot-size accounting).
   [[nodiscard]] std::uint64_t ApproxBytes() const {
@@ -244,6 +247,28 @@ class IntrusiveFrameList {
     size_ = 0;
   }
 
+  // True when the list runs from head to tail through exactly size()
+  // frames of `t`, each frame's back link naming the frame before it, and
+  // `fn(id)` holds for each. A walk that met a frame twice would meet it
+  // under two different back links, so a list that passes has no repeats,
+  // and a corrupt one fails within t.size() + 1 steps.
+  template <class Fn>
+  [[nodiscard]] bool WalksExactly(const FrameTable& t, Fn&& fn) const {
+    if (size_ > t.size()) {
+      return false;
+    }
+    FrameId prev = kNoFrame;
+    FrameId id = head_;
+    for (std::uint64_t i = 0; i < size_; ++i) {
+      if (id >= t.size() || t.hot(id).*PrevM != prev || !fn(id)) {
+        return false;
+      }
+      prev = id;
+      id = t.hot(id).*NextM;
+    }
+    return id == kNoFrame && prev == tail_;
+  }
+
   // The checkpointed state: the links themselves live in the slab arrays
   // and are checkpointed with them; only this triple is list-local.
   template <class S, class V>
@@ -263,7 +288,8 @@ using LruList = IntrusiveFrameList<&FrameHot::lru_prev, &FrameHot::lru_next>;
 using DirtyList = IntrusiveFrameList<&FrameHot::dirty_prev, &FrameHot::dirty_next>;
 
 // The slab's checkpoint encoding: the frame count, shared by the parallel
-// arrays that follow it, then the free list in LIFO order.
+// arrays that follow it, then the free list in LIFO order. A read fails
+// when a link or free-list entry names a frame past the count.
 template <>
 struct Codec<FrameTable> {
   static constexpr std::size_t kMinBytes = 16;  // the two counts
@@ -306,8 +332,24 @@ struct Codec<FrameTable> {
     t.flags_.assign(flags, flags + n);
     t.key1_.resize(n);
     t.key2_.resize(n);
-    if (r.U64s(t.key1_.data(), n) && r.U64s(t.key2_.data(), n)) {
-      r.Get(t.free_);
+    if (!r.U64s(t.key1_.data(), n) || !r.U64s(t.key2_.data(), n)) {
+      return;
+    }
+    r.Get(t.free_);
+    // Every id the slab stores names one of its frames, or none.
+    const auto out_of_range = [n](FrameId id) { return id != kNoFrame && id >= n; };
+    for (const FrameHot& h : t.hot_) {
+      if (out_of_range(h.lru_prev) || out_of_range(h.lru_next) || out_of_range(h.dirty_prev) ||
+          out_of_range(h.dirty_next)) {
+        r.Fail();
+        return;
+      }
+    }
+    for (const FrameId id : t.free_) {
+      if (id >= n) {
+        r.Fail();
+        return;
+      }
     }
   }
 };

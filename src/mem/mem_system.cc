@@ -1,6 +1,8 @@
 #include "src/mem/mem_system.h"
 
+#include <algorithm>
 #include <cassert>
+#include <vector>
 
 namespace graysim {
 
@@ -200,6 +202,34 @@ Nanos MemSystem::Reclaim(std::uint64_t n) {
     }
   }
   return cost;
+}
+
+bool MemSystem::Consistent() const {
+  const std::uint64_t n = frames_.size();
+  if (n > config_.total_pages || file_pages_ != file_lru_.size() ||
+      anon_pages_ != anon_lru_.size()) {
+    return false;
+  }
+  // Marking each frame as the lists and the free list are walked proves no
+  // frame is on two of them; their sizes adding up to n then put every
+  // frame on one.
+  std::vector<std::uint64_t> seen((n + 63) / 64);
+  const auto first_visit = [&seen](FrameId id) {
+    const std::uint64_t bit = std::uint64_t{1} << (id % 64);
+    if ((seen[id / 64] & bit) != 0) {
+      return false;
+    }
+    seen[id / 64] |= bit;
+    return true;
+  };
+  const auto of_kind = [&](PageKind kind) {
+    return [&, kind](FrameId id) { return frames_.kind(id) == kind && first_visit(id); };
+  };
+  const std::vector<FrameId>& free = frames_.free_list();
+  return file_lru_.WalksExactly(frames_, of_kind(PageKind::kFile)) &&
+         anon_lru_.WalksExactly(frames_, of_kind(PageKind::kAnon)) &&
+         std::all_of(free.begin(), free.end(), first_visit) &&
+         file_pages_ + anon_pages_ + free.size() == n;
 }
 
 }  // namespace graysim

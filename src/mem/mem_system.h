@@ -132,8 +132,10 @@ class MemSystem {
   [[nodiscard]] FrameTable& frames() { return frames_; }
   [[nodiscard]] const FrameTable& frames() const { return frames_; }
   [[nodiscard]] Page page(PageRef ref) const { return frames_.PageOf(ref); }
-  // Every resident file page, least recently used first.
+  // Every resident file page, and every resident anonymous page, least
+  // recently used first.
   [[nodiscard]] const LruList& file_lru() const { return file_lru_; }
+  [[nodiscard]] const LruList& anon_lru() const { return anon_lru_; }
 
   // Copies another MemSystem's simulation state (machine snapshot/fork):
   // the frame slab plus the intrusive list heads and counters. FrameIds are
@@ -161,6 +163,15 @@ class MemSystem {
     v("touch_seq", s.touch_seq_);
     v("stats", s.stats_);
   }
+
+  // False when decoded state could not have come from this class: a frame
+  // count past the pool, an LRU list that does not walk from head to tail
+  // in its recorded size with matching back links, a frame on the list of
+  // the other kind, page counts that differ from the lists, or a frame that
+  // is not on exactly one of the free list and the two LRU lists
+  // (ByteReader::Get rejects such a checkpoint). Allocates one bit per
+  // frame.
+  [[nodiscard]] bool Consistent() const;
 
  private:
   // Evicts one page to make room for a page of `incoming` kind. Returns

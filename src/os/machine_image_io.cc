@@ -410,7 +410,9 @@ bool DecodeMachineImage(std::span<const std::uint8_t> bytes, MachineImage* out,
   if (!ReadSection<Section::kMem>(sections, &image)) {
     return Fail(error, "malformed memory section");
   }
-  image.os.cache->RebuildPageSpans();
+  if (!image.os.cache->RebuildPageSpans()) {
+    return Fail(error, "malformed memory section");
+  }
   if (!ReadSection<Section::kTables>(sections, &image)) {
     return Fail(error, "malformed tables section");
   }

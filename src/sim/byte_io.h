@@ -47,6 +47,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <deque>
@@ -137,30 +138,6 @@ inline std::uint64_t LoadLe64(const std::uint8_t* p) {
   return static_cast<std::uint64_t>(LoadLe32(p)) |
          static_cast<std::uint64_t>(LoadLe32(p + 4)) << 32;
 }
-
-// Slice-by-8 tables for Crc32's reflected polynomial 0xEDB88320: row 0 is
-// the classic bytewise table, and row k advances a byte's contribution past
-// k further zero bytes, so eight input bytes fold in with eight lookups.
-using Crc32Tables = std::array<std::array<std::uint32_t, 256>, 8>;
-
-constexpr Crc32Tables MakeCrc32Tables() {
-  Crc32Tables t{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k) {
-      c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1u)));
-    }
-    t[0][i] = c;
-  }
-  for (std::size_t i = 0; i < 256; ++i) {
-    for (std::size_t k = 1; k < 8; ++k) {
-      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
-    }
-  }
-  return t;
-}
-
-inline constexpr Crc32Tables kCrc32Tables = MakeCrc32Tables();
 
 }  // namespace byte_io_internal
 
@@ -333,10 +310,18 @@ class ByteReader {
   }
 
   // Consumes the run of zero bytes at the read position, at most `max` of
-  // them, and returns how many it consumed.
+  // them, and returns how many it consumed. Steps eight bytes at a time: a
+  // nonzero word's lowest set bit names the run's first nonzero byte, since
+  // the word is loaded little-endian.
   [[nodiscard]] std::size_t SkipZeros(std::size_t max) {
     const std::uint8_t* stop = p_ + std::min(max, remaining());
     const std::uint8_t* start = p_;
+    for (; stop - p_ >= 8; p_ += 8) {
+      if (const std::uint64_t word = byte_io_internal::LoadLe64(p_); word != 0) {
+        p_ += std::countr_zero(word) / 8;
+        return static_cast<std::size_t>(p_ - start);
+      }
+    }
     while (p_ != stop && *p_ == 0) {
       ++p_;
     }
@@ -493,23 +478,32 @@ void ByteReader::Get(T& v) {
 // CRC32 (IEEE 802.3, reflected polynomial 0xEDB88320), the per-section
 // checksum of checkpoint files; `seed` is a previous result to continue
 // from. Checkpoint save and load each checksum the whole image, so this
-// runs at memory speed: slice-by-8 over compile-time tables, eight bytes
-// per step, with a bytewise tail. The tables are constexpr, so the header
-// stays dependency-free for tests that corrupt and re-checksum sections.
-[[nodiscard]] inline std::uint32_t Crc32(const std::uint8_t* data, std::size_t size,
-                                         std::uint32_t seed = 0) {
-  const byte_io_internal::Crc32Tables& t = byte_io_internal::kCrc32Tables;
-  std::uint32_t crc = ~seed;
-  for (; size >= 8; data += 8, size -= 8) {
-    const std::uint32_t lo = crc ^ byte_io_internal::LoadLe32(data);
-    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^
-          t[4][lo >> 24] ^ t[3][data[4]] ^ t[2][data[5]] ^ t[1][data[6]] ^ t[0][data[7]];
-  }
-  for (; size > 0; ++data, --size) {
-    crc = (crc >> 8) ^ t[0][(crc ^ *data) & 0xFFu];
-  }
-  return ~crc;
-}
+// runs at memory speed: on x86-64 CPUs with PCLMULQDQ it folds 64 bytes
+// per step by carry-less multiplication, and elsewhere it runs slice-by-8
+// over compile-time tables. The CPU is asked once per process which to
+// use; both give the same value for every input.
+[[nodiscard]] std::uint32_t Crc32(const std::uint8_t* data, std::size_t size,
+                                  std::uint32_t seed = 0);
+
+namespace byte_io_internal {
+
+// Crc32's two implementations, for tests that hold each to the bitwise
+// definition. The table loop runs on any CPU.
+[[nodiscard]] std::uint32_t Crc32Slice8(const std::uint8_t* data, std::size_t size,
+                                        std::uint32_t seed);
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define GRAYSIM_CRC32_CLMUL 1
+// True when this CPU has the carry-less multiply Crc32Clmul needs.
+[[nodiscard]] bool Crc32ClmulSupported();
+// Folds the input by carry-less multiplication, handing a tail of fewer than
+// 16 bytes (or an input under 64) to the table loop. Call only when
+// Crc32ClmulSupported().
+[[nodiscard]] std::uint32_t Crc32Clmul(const std::uint8_t* data, std::size_t size,
+                                       std::uint32_t seed);
+#endif
+
+}  // namespace byte_io_internal
 
 }  // namespace graysim
 

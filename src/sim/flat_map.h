@@ -350,9 +350,11 @@ struct Codec<FlatMap<V>> {
   static void Get(ByteReader& r, FlatMap<V>& m) {
     const std::uint64_t cap = r.U64();
     // A power of two (or empty), bounded well past any real machine (2^28
-    // slots ≈ 4 GB of page keys) so a corrupt count cannot exhaust memory.
+    // slots ≈ 4 GB of page keys) so a corrupt count cannot exhaust memory,
+    // with an empty slot left: a lookup that misses probes until it meets
+    // one, so a full table would never answer it.
     const std::uint64_t live = r.Count(16 + graysim::kMinBytes<V>);
-    if (!r.ok() || cap > (1ULL << 28) || (cap & (cap - 1)) != 0 || live > cap) {
+    if (!r.ok() || cap > (1ULL << 28) || (cap & (cap - 1)) != 0 || (live != 0 && live >= cap)) {
       r.Fail();
       return;
     }

@@ -145,6 +145,39 @@ void Vm::ReleaseProcess(Pid pid) {
   space = ProcessSpace{};
 }
 
+bool Vm::Consistent() const {
+  std::uint64_t resident = 0;
+  for (const ProcessSpace& space : spaces_) {
+    // A space is fresh (next_vpage 1, nothing mapped) or sized by Alloc.
+    const std::uint64_t vpages = space.table.size();
+    if (vpages != space.next_vpage && (vpages != 0 || space.next_vpage != 1)) {
+      return false;
+    }
+    for (const Area& area : space.areas) {
+      if (area.pages > vpages || area.base_vpage > vpages - area.pages) {
+        return false;
+      }
+    }
+    for (const Pte& pte : space.table) {
+      resident += pte.state() == PteState::kResident ? 1 : 0;
+    }
+  }
+  const FrameTable& frames = mem_->frames();
+  const auto named_by_its_pte = [&](FrameId f) {
+    const std::uint64_t pid = frames.key1(f);
+    const std::uint64_t vpage = frames.key2(f);
+    if (pid >= spaces_.size() || vpage >= spaces_[pid].table.size()) {
+      return false;
+    }
+    const Pte& pte = spaces_[pid].table[vpage];
+    return pte.state() == PteState::kResident && pte.ref() == f;
+  };
+  // Each frame names one PTE and each PTE one frame, so with the counts
+  // equal the resident PTEs are exactly the list's frames.
+  return resident == mem_->anon_lru().size() &&
+         mem_->anon_lru().WalksExactly(frames, named_by_its_pte);
+}
+
 std::uint64_t Vm::AllocSwapSlot() {
   if (!free_swap_slots_.empty()) {
     const std::uint64_t slot = free_swap_slots_.back();

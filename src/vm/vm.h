@@ -103,6 +103,13 @@ class Vm {
     v("free_swap_slots", s.free_swap_slots_);
   }
 
+  // False when decoded page tables disagree with the MemSystem's frames or
+  // with their own areas (ByteReader::Get rejects such a checkpoint): each
+  // anonymous LRU frame must be named by the resident PTE of the (pid,
+  // vpage) it records, with no other PTE resident, and each space's areas
+  // must lie inside its table, which is as long as its next vpage.
+  [[nodiscard]] bool Consistent() const;
+
  private:
   enum class PteState : std::uint8_t { kUnmapped, kResident, kSwapped };
 

@@ -1,10 +1,13 @@
-// Checkpoint byte encoding (src/sim/byte_io.h). The table-driven Crc32 must
-// equal the plain bitwise CRC-32 kept here as the reference, for every
-// length and alignment its eight-byte steps and bytewise tail can meet; the
-// bulk writer and reader calls must mean the same bytes as their scalar
-// counterparts; and a field list must encode each field as its type's row of
-// the table in byte_io.h says. Labeled `snapshot` with the rest of the
-// checkpoint tests.
+// Checkpoint byte encoding (src/sim/byte_io.h). Crc32, and each of its two
+// implementations on its own (the slice-by-8 loop and, on x86-64 CPUs with
+// PCLMULQDQ, the carry-less fold), must equal the plain bitwise CRC-32 kept
+// here as the reference, for every length and alignment their steps and
+// tails can meet; the bulk writer and reader calls, SkipZeros's word steps
+// included, must mean the same bytes as their scalar counterparts; a field
+// list must encode each field as its type's row of the table in byte_io.h
+// says; and a hash table must load with room for a lookup to miss. Labeled
+// `snapshot` with the rest of the checkpoint tests.
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <deque>
@@ -13,6 +16,7 @@
 
 #include "gtest/gtest.h"
 #include "src/sim/byte_io.h"
+#include "src/sim/flat_map.h"
 #include "src/sim/rng.h"
 
 namespace graysim {
@@ -70,6 +74,70 @@ TEST(ByteIoTest, Crc32ChainsThroughSeeds) {
   }
 }
 
+// Crc32's implementations, each held to BitwiseCrc32 alone (Crc32 itself
+// runs the one this CPU takes).
+enum class Crc32Path { kSlice8, kClmul };
+using Crc32Fn = std::uint32_t (*)(const std::uint8_t*, std::size_t, std::uint32_t);
+
+// The implementation `path` names, or null where this target or CPU lacks it.
+Crc32Fn Crc32Of(Crc32Path path) {
+  if (path == Crc32Path::kSlice8) {
+    return byte_io_internal::Crc32Slice8;
+  }
+#ifdef GRAYSIM_CRC32_CLMUL
+  if (byte_io_internal::Crc32ClmulSupported()) {
+    return byte_io_internal::Crc32Clmul;
+  }
+#endif
+  return nullptr;
+}
+
+class Crc32PathTest : public ::testing::TestWithParam<Crc32Path> {
+ protected:
+  void SetUp() override {
+    crc_ = Crc32Of(GetParam());
+    if (crc_ == nullptr) {
+      GTEST_SKIP() << "no carry-less CRC on this host: it needs an x86-64 CPU with PCLMULQDQ";
+    }
+  }
+
+  Crc32Fn crc_ = nullptr;
+};
+
+TEST_P(Crc32PathTest, MatchesBitwiseReferenceAtEveryLengthAndStart) {
+  const std::vector<std::uint8_t> bytes = RandomBytes(1024 + 16, 0xC1C32);
+  for (std::size_t start = 0; start < 16; ++start) {
+    for (std::size_t len = 0; len <= 1024; ++len) {
+      ASSERT_EQ(crc_(bytes.data() + start, len, 0), BitwiseCrc32(bytes.data() + start, len))
+          << "start " << start << " length " << len;
+    }
+  }
+}
+
+TEST_P(Crc32PathTest, ContinuesASeedAcrossEvery16ByteSplit) {
+  const std::vector<std::uint8_t> bytes = RandomBytes(1024 + 7, 0x5EED16);
+  const std::uint32_t whole = BitwiseCrc32(bytes.data(), bytes.size());
+  for (std::size_t split = 0; split <= bytes.size(); split += 16) {
+    const std::uint32_t head = crc_(bytes.data(), split, 0);
+    ASSERT_EQ(crc_(bytes.data() + split, bytes.size() - split, head), whole) << split;
+  }
+  for (const std::uint32_t seed : {0x00000001u, 0xDEADBEEFu, 0xFFFFFFFFu}) {
+    EXPECT_EQ(crc_(bytes.data(), bytes.size(), seed),
+              BitwiseCrc32(bytes.data(), bytes.size(), seed));
+  }
+}
+
+TEST_P(Crc32PathTest, MatchesBitwiseReferenceOverFourMiB) {
+  const std::vector<std::uint8_t> bytes = RandomBytes(std::size_t{4} << 20, 0x4D1B);
+  EXPECT_EQ(crc_(bytes.data(), bytes.size(), 0), BitwiseCrc32(bytes.data(), bytes.size()));
+}
+
+INSTANTIATE_TEST_SUITE_P(Paths, Crc32PathTest,
+                         ::testing::Values(Crc32Path::kSlice8, Crc32Path::kClmul),
+                         [](const ::testing::TestParamInfo<Crc32Path>& info) {
+                           return info.param == Crc32Path::kSlice8 ? "Slice8" : "Clmul";
+                         });
+
 TEST(ByteIoTest, BulkWritesMatchScalarWrites) {
   ByteWriter scalar;
   scalar.U32(0);
@@ -101,6 +169,47 @@ TEST(ByteIoTest, ReaderTakesAndSkipsInBulk) {
   EXPECT_EQ(r.SkipZeros(100), 0u);  // stops at the end
   EXPECT_EQ(r.Take(1), nullptr);    // past the end: fails, and stays failed
   EXPECT_FALSE(r.ok());
+}
+
+// SkipZeros's byte loop, the reference for its word steps: how many zero
+// bytes open `bytes`, at most `max`.
+std::size_t ZerosByByte(const std::vector<std::uint8_t>& bytes, std::size_t max) {
+  std::size_t n = 0;
+  while (n < std::min(max, bytes.size()) && bytes[n] == 0) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(ByteIoTest, SkipZerosMatchesTheByteLoop) {
+  // A run of `run` zeros, `start` bytes into the input, that ends at a
+  // nonzero byte (with zeros behind it), at `max`, or at the end of input.
+  enum class End { kNonzero, kMax, kInput };
+  for (const End end : {End::kNonzero, End::kMax, End::kInput}) {
+    for (std::size_t start = 0; start < 8; ++start) {
+      for (std::size_t run = 0; run <= 70; ++run) {
+        std::vector<std::uint8_t> bytes(start + run, 0);
+        std::fill(bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(start), 0xA5);
+        std::size_t max = run + 100;
+        if (end == End::kNonzero) {
+          bytes.push_back(0x01);
+          bytes.resize(bytes.size() + 16, 0);
+        } else if (end == End::kMax) {
+          bytes.resize(bytes.size() + 16, 0);
+          max = run;
+        }
+        const std::vector<std::uint8_t> tail(bytes.begin() + static_cast<std::ptrdiff_t>(start),
+                                             bytes.end());
+        const std::size_t expected = ZerosByByte(tail, max);
+        ByteReader r(bytes.data(), bytes.size());
+        (void)r.Take(start);
+        ASSERT_EQ(r.SkipZeros(max), expected) << "start " << start << " run " << run;
+        ASSERT_EQ(expected, run);
+        ASSERT_EQ(r.remaining(), tail.size() - run) << "start " << start << " run " << run;
+        ASSERT_TRUE(r.ok());
+      }
+    }
+  }
 }
 
 enum class Color : std::uint8_t { kRed, kGreen, kBlue };
@@ -224,6 +333,33 @@ TEST(ByteIoTest, FieldListReaderRejectsEnumsPastTheLastAndOversizedCounts) {
   bad_count.Get(out);
   EXPECT_FALSE(bad_count.ok());
   EXPECT_TRUE(out.items.empty()) << "a count the input cannot hold sized the vector";
+}
+
+TEST(ByteIoTest, FlatMapReaderRejectsATableWithNoEmptySlot) {
+  // A table of 16 slots holding `live` keys 1..live in slots 0..live-1.
+  auto table = [](std::uint64_t live) {
+    ByteWriter w;
+    w.U64(16);
+    w.U64(live);
+    for (std::uint64_t i = 0; i < live; ++i) {
+      w.U64(i);
+      w.U64(i + 1);
+      w.U32(7);
+    }
+    return w.Take();
+  };
+  const std::vector<std::uint8_t> three_quarters = table(12);
+  ByteReader ok(three_quarters.data(), three_quarters.size());
+  FlatMap<std::uint32_t> m;
+  ok.Get(m);
+  EXPECT_TRUE(ok.Done());
+  EXPECT_EQ(m.size(), 12u);
+  EXPECT_EQ(m.Find(99), nullptr);  // a miss ends at an empty slot
+
+  const std::vector<std::uint8_t> full = table(16);
+  ByteReader bad(full.data(), full.size());
+  bad.Get(m);
+  EXPECT_FALSE(bad.ok()) << "a lookup that misses in a full table never returns";
 }
 
 }  // namespace

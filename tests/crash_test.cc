@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <fstream>
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -25,6 +26,7 @@
 #include "src/os/machine.h"
 #include "src/os/machine_image_io.h"
 #include "src/sim/byte_io.h"
+#include "src/sim/rng.h"
 #include "src/workloads/filegen.h"
 
 namespace graysim {
@@ -305,6 +307,133 @@ std::unique_ptr<Machine> CheckpointableMachine() {
   return machine;
 }
 
+// A small machine whose memory section holds every kind of frame: clean
+// and dirty file pages, resident anonymous pages of pid 0, and free frames
+// left by a freed area. Its 12 MB of frames fill up under RunAWave.
+std::unique_ptr<Machine> MemoryMachine() {
+  MachineConfig config;
+  config.phys_mem_bytes = 16 * kMb;
+  config.kernel_reserved_bytes = 4 * kMb;
+  config.num_disks = 1;
+  auto machine = std::make_unique<Machine>(PlatformProfile::Linux22(), config,
+                                           /*machine_id=*/0, /*seed=*/0x3E3);
+  Os& os = machine->os();
+  const Pid pid = os.default_pid();
+  (void)graywork::MakeFile(os, pid, "/d0/a", 4 * kMb);
+  (void)graywork::MakeFile(os, pid, "/d0/b", 2 * kMb);
+  const int fd = os.Open(pid, "/d0/a");
+  (void)os.Pwrite(pid, fd, 256 * 1024, 0);
+  (void)os.Close(pid, fd);
+  const VmAreaId kept = os.VmAlloc(pid, kMb);
+  const VmAreaId freed = os.VmAlloc(pid, kMb / 4);
+  for (std::uint64_t page = 0; page < 256; ++page) {
+    os.VmTouch(pid, kept, page, /*write=*/true);
+  }
+  for (std::uint64_t page = 0; page < 64; ++page) {
+    os.VmTouch(pid, freed, page, /*write=*/true);
+  }
+  os.VmFree(pid, freed);
+  return machine;
+}
+
+// One wave on a MemoryMachine or a fork of one: its processes read a file
+// through the cache, fill 6 MB of anonymous memory (evicting file pages
+// and swapping out pid 0's), write, fsync and unlink; then the cache is
+// flushed and the machine snapshotted and encoded. Returns the image size.
+std::size_t RunAWave(Machine& m) {
+  Os& os = m.os();
+  m.RunProcesses({
+      [&os](Pid pid) {
+        const int fd = os.Open(pid, "/d0/a");
+        for (std::uint64_t off = 0; off < 4 * kMb; off += 64 * 1024) {
+          (void)os.Pread(pid, fd, {}, 64 * 1024, off);
+        }
+        (void)os.Close(pid, fd);
+      },
+      [&os](Pid pid) {
+        const VmAreaId area = os.VmAlloc(pid, 6 * kMb);
+        for (std::uint64_t page = 0; page < 6 * kMb / 4096; ++page) {
+          os.VmTouch(pid, area, page, /*write=*/true);
+        }
+      },
+      [&os](Pid pid) {
+        const int fd = os.Open(pid, "/d0/b");
+        (void)os.Pwrite(pid, fd, 512 * 1024, 0);
+        (void)os.Fsync(pid, fd);
+        (void)os.Close(pid, fd);
+        (void)graywork::MakeFile(os, pid, "/d0/c", kMb);
+        (void)os.Unlink(pid, "/d0/b");
+      },
+  });
+  os.FlushFileCache();
+  return EncodeMachineImage(m.Snapshot()).size();
+}
+
+// Where the parts of a memory section (tag 7) sit in its payload, in
+// order: the frame slab (count n, then n link records of four u32 ids, n
+// u64 touch stamps, n flag bytes, n u64 first keys and n u64 second keys),
+// its free list (u64 count, u32 ids), the file and anon LRU triples (u32
+// head, u32 tail, u64 size), the file and anon page counts, the touch
+// sequence and four u64 stats; then the page table (u64 slots, u64 live,
+// per live slot a u64 index, u64 key and u32 frame), the file records (the
+// same, with a u64 page count for the frame) and the dirty chain's triple;
+// then the VM's spaces (u64 count, and per space its u64 next vpage, its
+// areas as a u64 count of (id, base vpage, pages) u64 triples, and its page
+// table as a u64 count of u64 PTEs).
+struct MemLayout {
+  std::uint64_t frames = 0;
+  std::size_t hot = 0;
+  std::size_t flags = 0;
+  std::size_t key1 = 0;
+  std::size_t key2 = 0;
+  std::size_t free_list = 0;
+  std::size_t file_lru = 0;
+  std::size_t anon_lru = 0;
+  std::size_t anon_pages = 0;
+  std::size_t page_table = 0;
+  std::size_t files = 0;
+  std::size_t dirty_chain = 0;
+  std::vector<std::size_t> areas;   // per pid, its first area
+  std::vector<std::size_t> tables;  // per pid, its first PTE
+
+  // Offsets of frame `f`'s fields.
+  [[nodiscard]] std::size_t lru_prev(std::uint64_t f) const { return hot + 16 * f; }
+  [[nodiscard]] std::size_t lru_next(std::uint64_t f) const { return hot + 16 * f + 4; }
+  [[nodiscard]] std::size_t flag(std::uint64_t f) const { return flags + f; }
+  [[nodiscard]] std::size_t page(std::uint64_t f) const { return key2 + 8 * f; }
+};
+
+MemLayout MemLayoutOf(const std::vector<char>& file) {
+  constexpr std::uint32_t kMem = 7;
+  const std::size_t base = SectionFrame(file, kMem) + 16;
+  const auto u64 = [&](std::size_t at) { return GetLe(file, base + at, 8); };
+  MemLayout m;
+  m.frames = u64(0);
+  const std::uint64_t n = m.frames;
+  m.hot = 8;
+  m.flags = m.hot + 16 * n + 8 * n;
+  m.key1 = m.flags + n;
+  m.key2 = m.key1 + 8 * n;
+  m.free_list = m.key2 + 8 * n;
+  m.file_lru = m.free_list + 8 + 4 * u64(m.free_list);
+  m.anon_lru = m.file_lru + 16;
+  m.anon_pages = m.anon_lru + 16 + 8;
+  m.page_table = m.anon_pages + 8 + 8 + 32;
+  m.files = m.page_table + 16 + 20 * u64(m.page_table + 8);
+  m.dirty_chain = m.files + 16 + 24 * u64(m.files + 8);
+  std::size_t at = m.dirty_chain + 16;
+  const std::uint64_t spaces = u64(at);
+  at += 8;
+  for (std::uint64_t pid = 0; pid < spaces; ++pid) {
+    at += 8;  // next_vpage
+    m.areas.push_back(at + 8);
+    at += 8 + 24 * u64(at);
+    m.tables.push_back(at + 8);
+    at += 8 + 8 * u64(at);
+  }
+  return m;
+}
+
 TEST(CrashTest, CheckpointRoundTripsThroughDiskBitIdentically) {
   std::unique_ptr<Machine> original = CheckpointableMachine();
   const MachineImage image = original->Snapshot();
@@ -493,6 +622,98 @@ TEST(CrashTest, CorruptCheckpointsAreRejectedWithoutPartialRestore) {
     cases.push_back({"open fd on a missing disk", std::move(fd), "open on disk 99"});
   }
 
+  {
+    // Memory sections that parse, and that a restore would follow to a
+    // frame that does not hold, each under a valid CRC. They are cut from a
+    // MemoryMachine, which has dirty file pages, anonymous pages and free
+    // frames. `patched` sets `width` bytes at `offset` into the payload.
+    constexpr std::uint32_t kMem = 7;
+    const std::string mem_path = TempPath("corrupt_mem.gsim");
+    ASSERT_TRUE(SaveMachineImage(MemoryMachine()->Snapshot(), mem_path, &error)) << error;
+    const std::vector<char> mem = ReadAll(mem_path);
+    const MemLayout m = MemLayoutOf(mem);
+    const std::size_t base = SectionFrame(mem, kMem) + 16;
+    const auto at = [&](std::size_t offset, int width) { return GetLe(mem, base + offset, width); };
+    struct Patch {
+      std::size_t offset;
+      int width;
+      std::uint64_t value;
+    };
+    auto patched = [&](std::initializer_list<Patch> patches) {
+      std::vector<char> bytes = mem;
+      for (const Patch& p : patches) {
+        PutLe(&bytes, base + p.offset, p.width, p.value);
+      }
+      ReCrcSection(&bytes, kMem);
+      return bytes;
+    };
+    const std::uint64_t n = m.frames;
+    const std::uint64_t file_head = at(m.file_lru, 4);
+    const std::uint64_t file_second = at(m.lru_next(file_head), 4);
+    const std::uint64_t anon_head = at(m.anon_lru, 4);
+    const std::uint64_t anon_size = at(m.anon_lru + 8, 8);
+    const std::uint64_t dirty_head = at(m.dirty_chain, 4);
+    ASSERT_LT(file_second, n);
+    ASSERT_LT(anon_head, n);
+    ASSERT_LT(dirty_head, n);
+    ASSERT_GT(at(m.free_list, 8), 0u) << "no free frame to corrupt";
+    // The anon head's own PTE, and its first area.
+    const std::uint64_t pid = at(m.key1 + 8 * anon_head, 8);
+    const std::uint64_t vpage = at(m.page(anon_head), 8);
+    ASSERT_LT(pid, m.tables.size());
+    const std::size_t pte = m.tables[pid] + 8 * vpage;
+    ASSERT_EQ(at(pte, 8), (std::uint64_t{1} << 62) | anon_head);
+    // A clean frame on the file LRU, to mark dirty behind the chain's back.
+    std::uint64_t clean = file_head;
+    while (clean < n && (at(m.flag(clean), 1) & 2) != 0) {
+      clean = at(m.lru_next(clean), 4);
+    }
+    ASSERT_LT(clean, n) << "every file frame is dirty";
+    const char* const kMalformed = "malformed memory section";
+    // Every FrameId stored is kNoFrame or below the frame count.
+    cases.push_back({"frame link past the frame count", patched({{m.lru_next(file_head), 4, n}}),
+                     kMalformed});
+    cases.push_back({"LRU head past the frame count", patched({{m.anon_lru, 4, n + 5}}),
+                     kMalformed});
+    cases.push_back({"free frame past the frame count", patched({{m.free_list + 8, 4, n}}),
+                     kMalformed});
+    cases.push_back({"page-table frame past the frame count",
+                     patched({{m.page_table + 32, 4, n}}), kMalformed});
+    cases.push_back({"resident PTE past the frame count",
+                     patched({{pte, 8, (std::uint64_t{1} << 62) | n}}), kMalformed});
+    // Each list walks from head to tail in exactly its size, with back links.
+    cases.push_back({"file LRU with a wrong back link",
+                     patched({{m.lru_prev(file_second), 4, file_second}}), kMalformed});
+    const std::uint64_t shorter = anon_size - 1;
+    cases.push_back({"anon LRU longer than its size",
+                     patched({{m.anon_lru + 8, 8, shorter}, {m.anon_pages, 8, shorter}}),
+                     kMalformed});
+    // The dirty chain holds exactly the dirty file frames.
+    cases.push_back({"dirty file frame off the dirty chain",
+                     patched({{m.flag(clean), 1, at(m.flag(clean), 1) | 2}}), kMalformed});
+    const std::uint64_t cleaned = at(m.flag(dirty_head), 1) & ~std::uint64_t{2};
+    cases.push_back({"clean frame on the dirty chain", patched({{m.flag(dirty_head), 1, cleaned}}),
+                     kMalformed});
+    // Each LRU frame is what its page table names under its key.
+    cases.push_back({"file frame the page table lacks",
+                     patched({{m.page(file_head), 8, at(m.page(file_head), 8) + 4096}}),
+                     kMalformed});
+    cases.push_back({"anon frame its PTE does not name",
+                     patched({{m.page(anon_head), 8, vpage + 1}}), kMalformed});
+    // No frame is both free and live.
+    cases.push_back({"live frame on the free list", patched({{m.free_list + 8, 4, file_head}}),
+                     kMalformed});
+    // A file record counts its resident pages; an area lies in its table.
+    cases.push_back({"file record one page short",
+                     patched({{m.files + 32, 8, at(m.files + 32, 8) - 1}}), kMalformed});
+    ASSERT_FALSE(m.areas.empty());
+    cases.push_back({"VM area past its page table",
+                     patched({{m.areas[pid] + 16, 8, at(m.areas[pid] + 16, 8) + 4096}}),
+                     kMalformed});
+    MachineImage pristine;
+    ASSERT_TRUE(LoadMachineImage(mem_path, &pristine, &error)) << error;
+  }
+
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     const std::string bad_path = TempPath("corrupt_case.gsim");
@@ -510,6 +731,52 @@ TEST(CrashTest, CorruptCheckpointsAreRejectedWithoutPartialRestore) {
   // The pristine file still loads — corruption detection, not flakiness.
   MachineImage ok;
   ASSERT_TRUE(LoadMachineImage(path, &ok, &error)) << error;
+}
+
+// Mutation fuzzing of the memory section. Each mutant changes one to four
+// payload bytes of a MemoryMachine image's memory section and re-checksums
+// it, as a crafted file would. The loader must reject it, or its fork must
+// survive a wave, a cache flush, a snapshot and an encode: under ASan, as
+// CI runs this suite, a frame id that does not hold fails the run.
+TEST(CrashTest, MutatedMemorySectionsAreRejectedOrRestoreSafely) {
+  constexpr std::uint32_t kMem = 7;
+  constexpr int kMutants = 400;
+  std::unique_ptr<Machine> original = MemoryMachine();
+  const std::string path = TempPath("mutant_base.gsim");
+  std::string error;
+  ASSERT_TRUE(SaveMachineImage(original->Snapshot(), path, &error)) << error;
+  ASSERT_GT(RunAWave(*original), 0u);
+  const std::vector<char> good = ReadAll(path);
+  const std::size_t frame = SectionFrame(good, kMem);
+  const std::size_t len = GetLe(good, frame + 4, 8);
+
+  Rng rng(0x3E3A7E);
+  int rejected = 0;
+  int restored = 0;
+  for (int i = 0; i < kMutants; ++i) {
+    SCOPED_TRACE(i);
+    std::vector<char> bytes = good;
+    const std::uint64_t changes = rng.Range(1, 4);
+    for (std::uint64_t c = 0; c < changes; ++c) {
+      bytes[frame + 16 + rng.Below(len)] = static_cast<char>(rng.Below(256));
+    }
+    ReCrcSection(&bytes, kMem);
+    MachineImage image;
+    if (!DecodeMachineImage({reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size()},
+                            &image)) {
+      ++rejected;
+      continue;
+    }
+    std::unique_ptr<Machine> fork = Machine::Fork(image);
+    EXPECT_GT(RunAWave(*fork), 0u);
+    ++restored;
+  }
+  // Both outcomes occur: most bytes are links and keys, some are touch
+  // stamps and counters no check can miss.
+  EXPECT_GT(rejected, 0);
+  EXPECT_GT(restored, 0);
+  RecordProperty("rejected", rejected);
+  RecordProperty("restored", restored);
 }
 
 TEST(CrashTest, SaveIsAtomicUnderOverwrite) {
