@@ -94,7 +94,6 @@ void PrintPlatformParameters() {
   gray::SimSys sys(&os, os.default_pid());
   gray::MicrobenchOptions options;
   options.mem_hint_bytes = os.config().phys_mem_bytes;
-  options.disk_test_bytes = 128ULL * 1024 * 1024;
   gray::Microbench bench(&sys, options);
   gray::ParamRepository repo;
   if (!bench.RunAll(&repo)) {

@@ -111,7 +111,7 @@ void RunCosched(gbench::JsonResults* json) {
         std::tuple{"spin-forever", "spin", grayclassic::WaitPolicy::kSpinForever},
         std::tuple{"two-phase", "two_phase", grayclassic::WaitPolicy::kTwoPhase}}) {
     grayclassic::CoschedScenarioOptions options;
-    options.proc.policy = policy;
+    options.policy = policy;
     const grayclassic::CoschedScenarioResult r = RunCoschedScenario(options);
     g_virtual_total += r.virtual_time;
     std::printf("%-18s %10.1f %12.1f %10llu %12llu %12.3f\n", name,
@@ -136,7 +136,7 @@ void RunManners(gbench::JsonResults* json) {
   grayclassic::MannersScenarioOptions governed;
   governed.fg_active = mid_fg;
   grayclassic::MannersScenarioOptions greedy = governed;
-  greedy.bg.governed = false;
+  greedy.governed = false;
   const grayclassic::MannersScenarioResult manners = RunMannersScenario(governed);
   const grayclassic::MannersScenarioResult raw = RunMannersScenario(greedy);
   g_virtual_total += manners.virtual_time + raw.virtual_time;

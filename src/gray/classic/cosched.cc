@@ -14,6 +14,25 @@ constexpr std::uint64_t kRespBit = 1ULL << 41;
 constexpr std::uint64_t kIterMask = kReqBit - 1;
 constexpr std::uint64_t kMsgBytes = 64;
 
+constexpr gray::Nanos kSpinGrain = 5'000;  // poll granularity while spinning
+constexpr std::size_t kBenchmarkPings = 6;
+constexpr gray::Nanos kPingTimeout = 5'000'000;
+// Post-benchmark settle sleep: ring peers calibrate concurrently, and a
+// request landing inside a peer's ping run would be discarded as a stale
+// echo. Sleeping past the benchmark skew keeps first requests off that
+// window (the resend path would recover anyway, at 20 ms a hit).
+constexpr gray::Nanos kSettle = 5'000'000;
+// Two-phase spin limit = kSpinMultiplier x rtt estimate, capped.
+constexpr double kSpinMultiplier = 8.0;
+constexpr gray::Nanos kSpinCap = 2'000'000;  // 2 ms
+// Blocked-wait timeout; on expiry the request is re-sent (it may have been
+// dropped by interference) up to kMaxResend times before the iteration is
+// given up.
+constexpr gray::Nanos kBlockTimeout = 100'000'000;  // 100 ms
+constexpr int kMaxResend = 20;
+// Weight of a new gap in the spin limit's EWMA.
+constexpr double kEwmaAlpha = 0.2;
+
 }  // namespace
 
 bool CoschedIcl::Handle(const gray::NetMessage& msg, std::uint64_t want) {
@@ -50,39 +69,36 @@ CoschedIclResult CoschedIcl::Run() {
   gray::ProbeEngine engine(sys_);
   {
     std::vector<gray::TimedNetPing> pings(
-        static_cast<std::size_t>(std::max(1, options_.benchmark_pings)),
-        gray::TimedNetPing{options_.endpoint, options_.echo_peer, kMsgBytes,
-                           options_.ping_timeout});
+        kBenchmarkPings,
+        gray::TimedNetPing{options_.endpoint, options_.echo_peer, kMsgBytes, kPingTimeout});
     engine.RunNetPings(pings);
   }
   gray::Nanos rtt = engine.latency_stats().count() > 0
                         ? static_cast<gray::Nanos>(engine.latency_stats().mean())
-                        : options_.ping_timeout / 8;
+                        : kPingTimeout / 8;
   result_.benchmark_rtt = rtt;
   gap_ewma_ = static_cast<double>(rtt);
-  spin_limit_ = std::min(options_.spin_cap,
+  spin_limit_ = std::min(kSpinCap,
                          std::max(rtt, static_cast<gray::Nanos>(
-                                           options_.spin_multiplier *
+                                           kSpinMultiplier *
                                            static_cast<double>(rtt))));
 
-  if (options_.settle > 0) {
-    sys_->SleepNs(options_.settle);  // let every peer finish calibrating
-  }
+  sys_->SleepNs(kSettle);  // let every peer finish calibrating
 
   obs::TraceSink* trace = sys_->Trace();
   gray::NetMessage msg;
-  for (int iter = 1; iter <= options_.iterations; ++iter) {
+  for (int iter = 1; iter <= kIterations; ++iter) {
     // Serve anything that queued up while we were away, then compute.
     bool got = false;
     DrainInbox(0, &got);
-    sys_->Compute(options_.compute);
+    sys_->Compute(kCompute);
 
     const std::uint64_t tag = kReqBit | static_cast<std::uint64_t>(iter);
     const std::uint64_t want = kRespBit | static_cast<std::uint64_t>(iter);
     gray::Nanos sent_at = sys_->Now();
     (void)sys_->NetSend(options_.endpoint, options_.partner, kMsgBytes, tag);
     int resends = 0;
-    bool abandoned = false;  // this wait exhausted max_resend
+    bool abandoned = false;  // this wait exhausted kMaxResend
     got = false;
 
     // Phase 1: spin. Stay on the CPU polling so a prompt response is
@@ -90,7 +106,7 @@ CoschedIclResult CoschedIcl::Run() {
     if (options_.policy != WaitPolicy::kBlockImmediate) {
       const bool forever = options_.policy == WaitPolicy::kSpinForever;
       const gray::Nanos spin_deadline = sys_->Now() + spin_limit_;
-      gray::Nanos resend_at = sent_at + options_.block_timeout;
+      gray::Nanos resend_at = sent_at + kBlockTimeout;
       while (!got) {
         const gray::Nanos now = sys_->Now();
         if (!forever && now >= spin_deadline) {
@@ -103,36 +119,31 @@ CoschedIclResult CoschedIcl::Run() {
         if (forever && now >= resend_at) {
           // Spin-forever still needs a liveness bound: a dropped request
           // would otherwise spin the fiber to the end of time.
-          if (++resends > options_.max_resend) {
+          if (++resends > kMaxResend) {
             abandoned = true;
             break;
           }
-          if (options_.hardened) {
-            ++result_.resends;
-            if (trace != nullptr) {
-              trace->Instant(obs::kTrackIcl, "cosched.retry", now, "iter",
-                             static_cast<std::uint64_t>(iter));
-            }
-            sent_at = sys_->Now();
-            (void)sys_->NetSend(options_.endpoint, options_.partner, kMsgBytes, tag);
+          ++result_.resends;
+          if (trace != nullptr) {
+            trace->Instant(obs::kTrackIcl, "cosched.retry", now, "iter",
+                           static_cast<std::uint64_t>(iter));
           }
-          resend_at = sys_->Now() + options_.block_timeout;
+          sent_at = sys_->Now();
+          (void)sys_->NetSend(options_.endpoint, options_.partner, kMsgBytes, tag);
+          resend_at = sys_->Now() + kBlockTimeout;
         }
-        sys_->Compute(options_.spin_grain);
-        result_.spin_time += options_.spin_grain;
+        sys_->Compute(kSpinGrain);
+        result_.spin_time += kSpinGrain;
       }
       if (got) {
         ++result_.fast_waits;
-        if (options_.hardened) {
-          // Recalibrate the spin limit from gaps actually caught spinning —
-          // the coordinated-case response time, the only gap worth the burn.
-          const double sample = static_cast<double>(sys_->Now() - sent_at);
-          gap_ewma_ = options_.ewma_alpha * sample + (1.0 - options_.ewma_alpha) * gap_ewma_;
-          spin_limit_ = std::min(
-              options_.spin_cap,
-              std::max(gray::Nanos{1},
-                       static_cast<gray::Nanos>(options_.spin_multiplier * gap_ewma_)));
-        }
+        // Recalibrate the spin limit from gaps actually caught spinning —
+        // the coordinated-case response time, the only gap worth the burn.
+        const double sample = static_cast<double>(sys_->Now() - sent_at);
+        gap_ewma_ = kEwmaAlpha * sample + (1.0 - kEwmaAlpha) * gap_ewma_;
+        spin_limit_ = std::min(
+            kSpinCap,
+            std::max(gray::Nanos{1}, static_cast<gray::Nanos>(kSpinMultiplier * gap_ewma_)));
       }
     }
 
@@ -144,22 +155,20 @@ CoschedIclResult CoschedIcl::Run() {
                        static_cast<std::uint64_t>(iter));
       }
       while (!got) {
-        if (sys_->NetRecv(options_.endpoint, options_.block_timeout, &msg) >= 0) {
+        if (sys_->NetRecv(options_.endpoint, kBlockTimeout, &msg) >= 0) {
           got = Handle(msg, want);
           continue;
         }
-        if (++resends > options_.max_resend) {
+        if (++resends > kMaxResend) {
           abandoned = true;
           break;
         }
-        if (options_.hardened) {
-          ++result_.resends;
-          if (trace != nullptr) {
-            trace->Instant(obs::kTrackIcl, "cosched.retry", sys_->Now(), "iter",
-                           static_cast<std::uint64_t>(iter));
-          }
-          (void)sys_->NetSend(options_.endpoint, options_.partner, kMsgBytes, tag);
+        ++result_.resends;
+        if (trace != nullptr) {
+          trace->Instant(obs::kTrackIcl, "cosched.retry", sys_->Now(), "iter",
+                         static_cast<std::uint64_t>(iter));
         }
+        (void)sys_->NetSend(options_.endpoint, options_.partner, kMsgBytes, tag);
       }
     }
     result_.gave_up = result_.gave_up || abandoned;
@@ -174,7 +183,7 @@ CoschedIclResult CoschedIcl::Run() {
 
 void CoschedIcl::Linger() {
   gray::NetMessage msg;
-  while (sys_->NetRecv(options_.endpoint, options_.block_timeout, &msg) >= 0) {
+  while (sys_->NetRecv(options_.endpoint, kBlockTimeout, &msg) >= 0) {
     (void)Handle(msg, 0);
   }
 }

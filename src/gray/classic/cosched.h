@@ -11,7 +11,10 @@
 // requests and responses are real datagrams through SysApi (charged through
 // the turnstile), and the spin limit comes from a ProbeEngine round-trip
 // benchmark against a known-scheduled echo fiber (Table 1's "Benchmarks"
-// row: "round-trip time", "Known state: required for benchmarks").
+// row: "round-trip time", "Known state: required for benchmarks"). It is
+// hardened against interference: a blocked wait that times out re-sends its
+// request, and the spin limit is recalibrated from the gaps actually caught
+// while spinning.
 #ifndef SRC_GRAY_CLASSIC_COSCHED_H_
 #define SRC_GRAY_CLASSIC_COSCHED_H_
 
@@ -28,31 +31,7 @@ struct CoschedIclOptions {
   int endpoint = -1;     // ours (requests from the predecessor land here too)
   int partner = -1;      // ring successor: we request from it
   int echo_peer = -1;    // known-scheduled echo fiber for the RTT benchmark
-  int iterations = 200;  // compute/communicate rounds
-  gray::Nanos compute = 50'000;     // 50 us per-iteration compute
-  gray::Nanos spin_grain = 5'000;   // poll granularity while spinning
   WaitPolicy policy = WaitPolicy::kTwoPhase;
-  int benchmark_pings = 6;
-  gray::Nanos ping_timeout = 5'000'000;
-  // Post-benchmark settle sleep: ring peers calibrate concurrently, and a
-  // request landing inside a peer's ping run would be discarded as a stale
-  // echo. Sleeping past the benchmark skew keeps first requests off that
-  // window (the hardened resend path would recover anyway, at 20 ms a hit).
-  gray::Nanos settle = 5'000'000;
-  // Two-phase spin limit = spin_multiplier x rtt estimate, capped.
-  double spin_multiplier = 8.0;
-  gray::Nanos spin_cap = 2'000'000;  // 2 ms
-  // Blocked-wait timeout; on expiry the hardened variant re-sends the
-  // request (it may have been dropped by interference) up to max_resend
-  // times before giving up on the iteration.
-  gray::Nanos block_timeout = 100'000'000;  // 100 ms
-  int max_resend = 20;
-  // Hardened variant: timeout-driven resends plus EWMA recalibration of the
-  // spin limit from gaps that were actually caught while spinning (the
-  // coordinated-case response time, which is the only gap worth spinning
-  // for). Legacy keeps the benchmark-time limit forever and never resends.
-  bool hardened = true;
-  double ewma_alpha = 0.2;
 };
 
 struct CoschedIclResult {
@@ -61,9 +40,9 @@ struct CoschedIclResult {
   gray::Nanos spin_time = 0;    // CPU burned polling
   std::uint64_t blocks = 0;     // times the process gave up the CPU
   std::uint64_t fast_waits = 0; // responses caught during the spin phase
-  std::uint64_t resends = 0;    // hardened timeout recoveries
+  std::uint64_t resends = 0;    // timeout recoveries
   std::uint64_t served = 0;     // partner requests answered
-  bool gave_up = false;         // a wait exhausted max_resend
+  bool gave_up = false;         // a wait exhausted its resends
   gray::Nanos rtt_estimate = 0; // final spin-limit basis (gap EWMA)
   gray::Nanos benchmark_rtt = 0; // uncontended probe-run round trip
   gray::ProbeReport probe_report;
@@ -74,6 +53,11 @@ struct CoschedIclResult {
 // successor). RunCoschedEcho is the benchmark echo fiber.
 class CoschedIcl {
  public:
+  // Compute/communicate rounds per Run().
+  static constexpr int kIterations = 200;
+  // Per-iteration compute.
+  static constexpr gray::Nanos kCompute = 50'000;  // 50 us
+
   CoschedIcl(gray::SysApi* sys, const CoschedIclOptions& options)
       : sys_(sys), options_(options) {}
 
@@ -81,7 +65,7 @@ class CoschedIcl {
 
   // Serve the predecessor's stragglers after Run(): a ring peer may still
   // be a few iterations behind and needs responses. Returns once the ring
-  // has been quiet for one block_timeout. Harnesses call this after
+  // has been quiet for one blocked-wait timeout. Harnesses call this after
   // recording Run()'s result so job-time accounting excludes the tail.
   void Linger();
 

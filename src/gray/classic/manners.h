@@ -12,7 +12,10 @@
 // progress windows are measured on the virtual clock, and suspension is a
 // real sleep that hands the CPU back. Statistics from the original system
 // (Table 1): exponential averaging of progress samples and a paired-sample
-// sign test against the baseline.
+// sign test against the baseline. The controller is hardened against one
+// noisy window (a chaos shock, a jitter spike): the EWMA dip must be
+// confirmed by the sign test AND hold for two consecutive windows before it
+// suspends.
 #ifndef SRC_GRAY_CLASSIC_MANNERS_H_
 #define SRC_GRAY_CLASSIC_MANNERS_H_
 
@@ -24,24 +27,6 @@
 namespace grayclassic {
 
 struct MannersIclOptions {
-  gray::Nanos run_for = 4'000'000'000;  // 4 s of virtual time
-  // Progress-measurement window; must exceed the scheduler slice or a
-  // window sees only its own turn and contention is invisible.
-  gray::Nanos window = 40'000'000;  // 40 ms
-  gray::Nanos unit_compute = 200'000;  // CPU burn per work unit
-  std::uint64_t buffer_pages = 32;     // resident working set
-  int touches_per_unit = 8;            // ProbeEngine-timed page touches
-  int calibrate_windows = 4;           // uncontended baseline measurement
-  double suspend_threshold = 0.8;      // suspect contention below this fraction
-  int initial_backoff_windows = 2;
-  int max_backoff_windows = 32;
-  double ewma_alpha = 0.3;
-  int sign_window = 8;  // recent samples kept for the sign test
-  // Hardened variant: the EWMA dip must be confirmed by the paired-sample
-  // sign test AND hold for two consecutive windows before suspending —
-  // robust to one noisy window (a chaos shock, a jitter spike). Legacy
-  // suspends on the raw threshold immediately.
-  bool hardened = true;
   // When false, the controller never suspends: the greedy baseline every
   // comparison runs against.
   bool governed = true;
@@ -60,6 +45,9 @@ struct MannersIclResult {
 
 class MannersIcl {
  public:
+  // Virtual time Run() works for.
+  static constexpr gray::Nanos kRunFor = 4'000'000'000;  // 4 s
+
   MannersIcl(gray::SysApi* sys, const MannersIclOptions& options)
       : sys_(sys), options_(options) {}
 

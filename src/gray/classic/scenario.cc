@@ -10,6 +10,26 @@ namespace grayclassic {
 
 namespace {
 
+// TCP: senders start this far apart to desynchronize their start-up bursts,
+// and the router queue depth is sampled at this grain for avg_queue.
+constexpr graysim::Nanos kSenderStagger = 1'000'000;
+constexpr graysim::Nanos kQueueSamplePeriod = 2'000'000;
+
+// Coscheduling: the ring size and the local jobs' compute granularity.
+constexpr int kRingProcs = 4;
+constexpr graysim::Nanos kLocalGrain = 100'000;
+// Fine-grain communication needs a fine-grain scheduler: the default 10 ms
+// slice would make every response wait out multi-slice rotations.
+constexpr graysim::Nanos kCoschedSlice = 1'000'000;
+// Local jobs hold off this long so the ring benchmarks its round trip on a
+// quiet host (Table 1: known state is required for benchmarks). The spin
+// limit then tracks the coordinated-case response, not the
+// rotation-inflated contended one.
+constexpr graysim::Nanos kLocalStartDelay = 20'000'000;
+
+// Manners: foreground compute granularity.
+constexpr graysim::Nanos kFgGrain = 2'000'000;
+
 // The classic scenarios exercise the CPU, the VM, and the link — not the
 // disks — so a lean host keeps Machine construction cheap.
 graysim::MachineConfig HostConfig(const graysim::NetSchedule& net,
@@ -64,7 +84,7 @@ TcpScenarioResult RunTcpScenario(const TcpScenarioOptions& options) {
 
   std::vector<std::function<void(graysim::Pid)>> bodies;
   // Receiver: outlives the senders' worst RTO backoff, then idles out.
-  const graysim::Nanos idle_timeout = 2 * options.sender.max_rto + 50'000'000;
+  const graysim::Nanos idle_timeout = 2 * TcpIcl::kMaxRto + 50'000'000;
   bodies.push_back([&, receiver_ep](graysim::Pid pid) {
     gray::SimSys sys(&os, pid);
     receiver_stats = RunTcpReceiver(&sys, receiver_ep, idle_timeout);
@@ -72,13 +92,10 @@ TcpScenarioResult RunTcpScenario(const TcpScenarioOptions& options) {
   for (int i = 0; i < n; ++i) {
     bodies.push_back([&, i](graysim::Pid pid) {
       gray::SimSys sys(&os, pid);
-      if (options.sender_stagger > 0 && i > 0) {
-        sys.SleepNs(static_cast<graysim::Nanos>(i) * options.sender_stagger);
+      if (i > 0) {
+        sys.SleepNs(static_cast<graysim::Nanos>(i) * kSenderStagger);
       }
-      TcpIclOptions opts = options.sender;
-      opts.endpoint = sender_eps[static_cast<std::size_t>(i)];
-      opts.peer = receiver_ep;
-      TcpIcl icl(&sys, opts);
+      TcpIcl icl(&sys, TcpIclOptions{sender_eps[static_cast<std::size_t>(i)], receiver_ep});
       result.senders[static_cast<std::size_t>(i)] = icl.Run();
       --*senders_left;
     });
@@ -86,7 +103,7 @@ TcpScenarioResult RunTcpScenario(const TcpScenarioOptions& options) {
   // Queue sampler: kernel-side observer (harness privilege, not gray-box).
   bodies.push_back([&](graysim::Pid pid) {
     while (*senders_left > 0) {
-      os.Sleep(pid, options.queue_sample_period);
+      os.Sleep(pid, kQueueSamplePeriod);
       queue_depth_sum += static_cast<double>(os.net().link().depth());
       queue_samples += 1.0;
     }
@@ -111,7 +128,7 @@ TcpScenarioResult RunTcpScenario(const TcpScenarioOptions& options) {
   result.fairness = JainFairness(acked);
   result.avg_queue = queue_samples > 0.0 ? queue_depth_sum / queue_samples : 0.0;
   const double capacity_bytes = options.net.bytes_per_sec *
-                                static_cast<double>(options.sender.run_for) / 1e9;
+                                static_cast<double>(TcpIcl::kRunFor) / 1e9;
   result.goodput = capacity_bytes > 0.0
                        ? static_cast<double>(result.delivered_bytes) / capacity_bytes
                        : 0.0;
@@ -120,11 +137,11 @@ TcpScenarioResult RunTcpScenario(const TcpScenarioOptions& options) {
 
 CoschedScenarioResult RunCoschedScenario(const CoschedScenarioOptions& options) {
   graysim::MachineConfig host = HostConfig(graysim::NetSchedule{}, options.chaos);
-  host.scheduler_slice = options.scheduler_slice;
+  host.scheduler_slice = kCoschedSlice;
   graysim::Machine machine(options.profile, host);
   graysim::Os& os = machine.os();
 
-  const int n = std::max(2, options.procs);
+  const int n = kRingProcs;
   const int echo_ep = os.NetEndpoint(os.default_pid());
   std::vector<int> proc_eps(static_cast<std::size_t>(n));
   for (int& ep : proc_eps) {
@@ -144,11 +161,9 @@ CoschedScenarioResult RunCoschedScenario(const CoschedScenarioOptions& options) 
   for (int i = 0; i < n; ++i) {
     bodies.push_back([&, i](graysim::Pid pid) {
       gray::SimSys sys(&os, pid);
-      CoschedIclOptions opts = options.proc;
-      opts.endpoint = proc_eps[static_cast<std::size_t>(i)];
-      opts.partner = proc_eps[static_cast<std::size_t>((i + 1) % n)];
-      opts.echo_peer = echo_ep;
-      CoschedIcl icl(&sys, opts);
+      CoschedIcl icl(&sys, CoschedIclOptions{proc_eps[static_cast<std::size_t>(i)],
+                                             proc_eps[static_cast<std::size_t>((i + 1) % n)],
+                                             echo_ep, options.policy});
       result.procs[static_cast<std::size_t>(i)] = icl.Run();
       --*ring_left;
       // Serve stragglers until the whole ring is done (a single quiet
@@ -161,12 +176,10 @@ CoschedScenarioResult RunCoschedScenario(const CoschedScenarioOptions& options) 
   }
   for (int j = 0; j < options.local_jobs; ++j) {
     bodies.push_back([&](graysim::Pid pid) {
-      if (options.local_start_delay > 0) {
-        os.Sleep(pid, options.local_start_delay);
-      }
+      os.Sleep(pid, kLocalStartDelay);
       while (*ring_left > 0) {
-        os.Compute(pid, options.local_grain);
-        local_busy_total += options.local_grain;
+        os.Compute(pid, kLocalGrain);
+        local_busy_total += kLocalGrain;
       }
     });
   }
@@ -187,8 +200,8 @@ CoschedScenarioResult RunCoschedScenario(const CoschedScenarioOptions& options) 
   // Dedicated lock-step ideal: every ring process's compute serializes on
   // the one CPU, plus a round trip of coordination per iteration.
   const double ideal =
-      static_cast<double>(options.proc.iterations) *
-      (static_cast<double>(n) * static_cast<double>(options.proc.compute) +
+      static_cast<double>(CoschedIcl::kIterations) *
+      (static_cast<double>(n) * static_cast<double>(CoschedIcl::kCompute) +
        bench_rtt_sum / static_cast<double>(n));
   result.slowdown =
       ideal > 0.0 ? static_cast<double>(result.job_time) / ideal : 0.0;
@@ -207,12 +220,12 @@ MannersScenarioResult RunMannersScenario(const MannersScenarioOptions& options) 
   graysim::Os& os = machine.os();
 
   MannersScenarioResult result;
-  const graysim::Nanos run_for = options.bg.run_for;
+  const graysim::Nanos run_for = MannersIcl::kRunFor;
 
   std::vector<std::function<void(graysim::Pid)>> bodies;
   bodies.push_back([&](graysim::Pid pid) {
     gray::SimSys sys(&os, pid);
-    MannersIcl icl(&sys, options.bg);
+    MannersIcl icl(&sys, MannersIclOptions{options.governed});
     result.bg = icl.Run();
   });
   if (options.fg_active) {
@@ -223,11 +236,11 @@ MannersScenarioResult RunMannersScenario(const MannersScenarioOptions& options) 
         const graysim::Nanos offset = sys.Now() - start;
         if (options.fg_active(offset)) {
           const graysim::Nanos t0 = sys.Now();
-          sys.Compute(options.fg_grain);
-          result.fg_demand += options.fg_grain;
+          sys.Compute(kFgGrain);
+          result.fg_demand += kFgGrain;
           result.fg_elapsed += sys.Now() - t0;
         } else {
-          sys.SleepNs(options.fg_grain);
+          sys.SleepNs(kFgGrain);
         }
       }
     });

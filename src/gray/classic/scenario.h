@@ -29,9 +29,6 @@ struct TcpScenarioOptions {
   // The link under test. queue_capacity bounds the router queue (tail
   // drop), drop_prob models a wireless medium, red enables early drops.
   graysim::NetSchedule net;
-  TcpIclOptions sender;  // template; endpoint/peer are filled per sender
-  graysim::Nanos sender_stagger = 1'000'000;  // desynchronize start-up bursts
-  graysim::Nanos queue_sample_period = 2'000'000;  // avg_queue sampling grain
   graysim::FaultPlan chaos;  // armed at construction when enabled
 };
 
@@ -57,18 +54,8 @@ struct TcpScenarioResult {
 
 struct CoschedScenarioOptions {
   graysim::PlatformProfile profile = graysim::PlatformProfile::Linux22();
-  int procs = 4;            // ring size
-  int local_jobs = 4;       // CPU-bound competitors sharing the host
-  graysim::Nanos local_grain = 100'000;  // local-job compute granularity
-  // Fine-grain communication needs a fine-grain scheduler: the default
-  // 10 ms slice would make every response wait out multi-slice rotations.
-  graysim::Nanos scheduler_slice = 1'000'000;
-  // Local jobs hold off this long so the ring benchmarks its round trip on
-  // a quiet host (Table 1: known state is required for benchmarks). The
-  // spin limit then tracks the coordinated-case response, not the
-  // rotation-inflated contended one.
-  graysim::Nanos local_start_delay = 20'000'000;
-  CoschedIclOptions proc;   // template; endpoints are filled per process
+  int local_jobs = 4;  // CPU-bound competitors sharing the host
+  WaitPolicy policy = WaitPolicy::kTwoPhase;  // every ring process's wait policy
   graysim::FaultPlan chaos;
 };
 
@@ -91,13 +78,12 @@ struct CoschedScenarioResult {
 
 struct MannersScenarioOptions {
   graysim::PlatformProfile profile = graysim::PlatformProfile::Linux22();
-  MannersIclOptions bg;
+  bool governed = true;  // the background process's MannersIclOptions::governed
   // Foreground demand schedule over the offset from scenario start; null =
   // no foreground. Callers must leave the calibration windows quiet — known
   // state is how Manners learns its baseline (Table 1: "none (slow
   // convergence)" — the rebuild calibrates explicitly instead).
   std::function<bool(graysim::Nanos)> fg_active;
-  graysim::Nanos fg_grain = 2'000'000;  // foreground compute granularity
   graysim::FaultPlan chaos;
 };
 

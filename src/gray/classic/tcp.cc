@@ -8,6 +8,23 @@ namespace grayclassic {
 
 namespace {
 
+constexpr std::uint64_t kPacketBytes = 1024;
+// Initial RTT benchmark: ProbeEngine ping run against the receiver (it
+// echoes probe-tagged messages).
+constexpr std::size_t kBenchmarkPings = 8;
+constexpr Nanos kPingTimeout = 5'000'000;  // 5 ms
+// Congestion control.
+constexpr double kInitialSsthresh = 64.0;
+constexpr double kMaxCwnd = 256.0;
+// Fast retransmit: this many duplicate cumulative acks mean the packet at
+// `base` is gone but later ones are arriving — halve and resend without
+// waiting for the RTO (loss inferred from ack pattern, not silence).
+constexpr int kDupackThreshold = 3;
+constexpr Nanos kMinRto = 1'000'000;  // 1 ms floor (standard tick coarseness)
+// Consecutive RTOs after which the estimator has clearly lost the plot and
+// is re-benchmarked with a ping run.
+constexpr int kRecalibrateAfter = 4;
+
 // An ICL never sees the wire; congestion inference can only clamp what it
 // controls. kNever-free local helper: saturating deadline math.
 [[nodiscard]] Nanos SaturatingAdd(Nanos a, Nanos b) {
@@ -17,7 +34,7 @@ namespace {
 }  // namespace
 
 void TcpIcl::SendPacket(std::uint64_t seq, bool retransmit) {
-  if (sys_->NetSend(options_.endpoint, options_.peer, options_.packet_bytes, seq) < 0) {
+  if (sys_->NetSend(options_.endpoint, options_.peer, kPacketBytes, seq) < 0) {
     return;  // backend refused; the RTO path will retry
   }
   ++result_.sent;
@@ -38,7 +55,7 @@ void TcpIcl::UpdateRtt(Nanos sample) {
     const auto abs_err = static_cast<Nanos>(err < 0 ? -err : err);
     rttvar_ += (abs_err - rttvar_) / 4;
   }
-  rto_ = std::clamp(srtt_ + 4 * rttvar_, options_.min_rto, options_.max_rto);
+  rto_ = std::clamp(srtt_ + 4 * rttvar_, kMinRto, kMaxRto);
 }
 
 void TcpIcl::OnTimeout() {
@@ -55,10 +72,9 @@ void TcpIcl::OnTimeout() {
   recover_ = highest_sent_;
   next_ = base_;
   in_flight_.clear();
-  // Exponential RTO backoff. The legacy estimator doubles without a
-  // ceiling, which is how a loss burst turns into a multi-second stall.
-  const Nanos ceiling = options_.hardened ? options_.max_rto : ~Nanos{0} / 4;
-  rto_ = std::min(rto_ * 2, ceiling);
+  // Exponential RTO backoff, capped: doubling without a ceiling is how a
+  // loss burst turns into a multi-second stall.
+  rto_ = std::min(rto_ * 2, kMaxRto);
 }
 
 TcpIclResult TcpIcl::Run() {
@@ -67,25 +83,24 @@ TcpIclResult TcpIcl::Run() {
   gray::ProbeEngine engine(sys_);
   const auto bench = [&] {
     std::vector<gray::TimedNetPing> pings(
-        static_cast<std::size_t>(std::max(1, options_.benchmark_pings)),
-        gray::TimedNetPing{options_.endpoint, options_.peer, options_.packet_bytes,
-                           options_.ping_timeout});
+        kBenchmarkPings,
+        gray::TimedNetPing{options_.endpoint, options_.peer, kPacketBytes, kPingTimeout});
     const std::uint64_t before = engine.latency_stats().count();
     engine.RunNetPings(pings);
     if (engine.latency_stats().count() > before) {
       srtt_ = static_cast<Nanos>(engine.latency_stats().mean());
       rttvar_ = std::max(static_cast<Nanos>(engine.latency_stats().stddev()), srtt_ / 4);
-      rto_ = std::clamp(srtt_ + 4 * rttvar_, options_.min_rto, options_.max_rto);
+      rto_ = std::clamp(srtt_ + 4 * rttvar_, kMinRto, kMaxRto);
     }
   };
   bench();
   if (rto_ == 0) {
-    rto_ = options_.min_rto * 8;  // no echo came back; start conservative
+    rto_ = kMinRto * 8;  // no echo came back; start conservative
   }
-  ssthresh_ = options_.initial_ssthresh;
+  ssthresh_ = kInitialSsthresh;
 
   const Nanos start = sys_->Now();
-  end_ = SaturatingAdd(start, options_.run_for);
+  end_ = SaturatingAdd(start, kRunFor);
   double cwnd_integral = 0.0;
   Nanos integral_t = start;
   const auto integrate = [&](Nanos now) {
@@ -127,7 +142,7 @@ TcpIclResult TcpIcl::Run() {
         // Go-back-N resends packets the receiver already has; each one
         // yields another dup-ack. The recovery guard (NewReno) keeps those
         // self-inflicted dup-acks from cascading into more retransmits.
-        if (ack == base_ && ++dup_acks_ >= options_.dupack_threshold &&
+        if (ack == base_ && ++dup_acks_ >= kDupackThreshold &&
             base_ <= highest_sent_ && base_ > recover_) {
           ++result_.fast_retransmits;
           if (obs::TraceSink* t = sys_->Trace(); t != nullptr) {
@@ -148,13 +163,12 @@ TcpIclResult TcpIcl::Run() {
       integrate(ack_now);
       std::uint64_t newly = ack - base_;
       result_.acked += newly;
-      // RTT sample off the highest newly acked packet; Karn's rule
-      // (hardened) refuses samples from retransmitted packets, whose ack is
-      // ambiguous.
+      // RTT sample off the highest newly acked packet; Karn's rule refuses
+      // samples from retransmitted packets, whose ack is ambiguous.
       while (!in_flight_.empty() && in_flight_.front().seq < ack) {
         const InFlight rec = in_flight_.front();
         in_flight_.pop_front();
-        if (rec.seq == ack - 1 && (!options_.hardened || !rec.retransmitted)) {
+        if (rec.seq == ack - 1 && !rec.retransmitted) {
           UpdateRtt(ack_now - rec.sent_at);
         }
       }
@@ -162,12 +176,12 @@ TcpIclResult TcpIcl::Run() {
       for (; newly > 0; --newly) {
         cwnd_ = cwnd_ < ssthresh_ ? cwnd_ + 1.0 : cwnd_ + 1.0 / cwnd_;
       }
-      cwnd_ = std::min(cwnd_, options_.max_cwnd);
+      cwnd_ = std::min(cwnd_, kMaxCwnd);
       base_ = ack;
     } else if (sys_->Now() >= deadline && deadline < end_) {
       integrate(sys_->Now());
       OnTimeout();
-      if (options_.hardened && consecutive_timeouts_ >= options_.recalibrate_after) {
+      if (consecutive_timeouts_ >= kRecalibrateAfter) {
         // The estimator has clearly lost the plot (a loss burst, a shifted
         // delay regime): re-benchmark instead of doubling blindly.
         ++result_.recalibrations;
@@ -177,7 +191,7 @@ TcpIclResult TcpIcl::Run() {
         srtt_ = 0;
         bench();
         if (rto_ == 0) {
-          rto_ = options_.min_rto * 8;
+          rto_ = kMinRto * 8;
         }
         consecutive_timeouts_ = 0;
       }

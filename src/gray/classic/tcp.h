@@ -8,9 +8,12 @@
 // gray-box client: it talks to the kernel's simulated link exclusively
 // through SysApi's datagram calls, benchmarks the round-trip time with a
 // ProbeEngine ping run (Table 1's "Benchmarks" row for TCP is "none"; the
-// hardened variant adds one, which is exactly the paper's point about what
-// the toolbox contributes), and estimates RTO with Jacobson's mean/variance
-// filter (Table 1's "Statistics" row).
+// rebuild adds one, which is exactly the paper's point about what the
+// toolbox contributes), and estimates RTO with Jacobson's mean/variance
+// filter (Table 1's "Statistics" row). It is hardened against a lost
+// estimator: Karn's rule (never sample RTT off a retransmitted packet), a
+// kMaxRto ceiling on the backoff, and a ping-run recalibration after four
+// consecutive RTOs instead of doubling forever.
 //
 // The cautionary tale survives the rebuild: over a "wireless" link (random
 // non-congestion loss) the very same inference misreads loss as congestion
@@ -32,30 +35,6 @@ using gray::Nanos;
 struct TcpIclOptions {
   int endpoint = -1;  // our endpoint (acks land here)
   int peer = -1;      // receiver's endpoint
-  std::uint64_t packet_bytes = 1024;
-  // Run until this much virtual time has elapsed, then stop sending; acked
-  // packets within the window are what goodput is measured over.
-  Nanos run_for = 200'000'000;  // 200 ms
-  // Initial RTT benchmark: ProbeEngine ping run against the receiver (it
-  // echoes probe-tagged messages).
-  int benchmark_pings = 8;
-  Nanos ping_timeout = 5'000'000;  // 5 ms
-  // Congestion control.
-  double initial_ssthresh = 64.0;
-  double max_cwnd = 256.0;
-  // Fast retransmit: this many duplicate cumulative acks mean the packet at
-  // `base` is gone but later ones are arriving — halve and resend without
-  // waiting for the RTO (loss inferred from ack pattern, not silence).
-  int dupack_threshold = 3;
-  Nanos min_rto = 1'000'000;    // 1 ms floor (standard tick coarseness)
-  Nanos max_rto = 100'000'000;  // 100 ms backoff ceiling (hardened clamp)
-  // Hardened variant: Karn's rule (never sample RTT off a retransmitted
-  // packet), the max_rto clamp, and a ping-run recalibration after
-  // `recalibrate_after` consecutive RTOs (the estimator has clearly lost
-  // the plot — re-benchmark instead of doubling forever). Legacy keeps the
-  // naive estimator for A/B comparison.
-  bool hardened = true;
-  int recalibrate_after = 4;
 };
 
 struct TcpIclResult {
@@ -64,7 +43,7 @@ struct TcpIclResult {
   std::uint64_t retransmits = 0;    // go-back-N resends
   std::uint64_t timeouts = 0;       // window collapses (congestion inferred)
   std::uint64_t fast_retransmits = 0;  // dup-ack-triggered halvings
-  std::uint64_t recalibrations = 0; // hardened ping-run re-benchmarks
+  std::uint64_t recalibrations = 0; // ping-run re-benchmarks
   double avg_cwnd = 0.0;            // time-averaged congestion window
   Nanos srtt = 0;                   // final smoothed RTT estimate
   Nanos rto = 0;                    // final retransmission timeout
@@ -75,6 +54,12 @@ struct TcpIclResult {
 // process; the receiver side is RunTcpReceiver below (a different process).
 class TcpIcl {
  public:
+  // Run until this much virtual time has elapsed, then stop sending; acked
+  // packets within the window are what goodput is measured over.
+  static constexpr Nanos kRunFor = 200'000'000;  // 200 ms
+  // Ceiling of the exponential RTO backoff.
+  static constexpr Nanos kMaxRto = 100'000'000;  // 100 ms
+
   TcpIcl(gray::SysApi* sys, const TcpIclOptions& options) : sys_(sys), options_(options) {}
 
   [[nodiscard]] TcpIclResult Run();

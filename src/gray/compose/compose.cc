@@ -7,8 +7,7 @@
 
 namespace gray {
 
-Compose::Compose(SysApi* sys, FccdOptions fccd_options, FldcOptions fldc_options)
-    : sys_(sys), fccd_(sys, fccd_options), fldc_(sys, std::move(fldc_options)) {}
+Compose::Compose(SysApi* sys) : fccd_(sys), fldc_(sys) {}
 
 ComposedOrder Compose::OrderFiles(std::span<const std::string> paths) {
   ComposedOrder result;

@@ -29,8 +29,7 @@ struct ComposedOrder {
 
 class Compose {
  public:
-  Compose(SysApi* sys, FccdOptions fccd_options = FccdOptions{},
-          FldcOptions fldc_options = FldcOptions{});
+  explicit Compose(SysApi* sys);
 
   [[nodiscard]] ComposedOrder OrderFiles(std::span<const std::string> paths);
 
@@ -44,7 +43,6 @@ class Compose {
   }
 
  private:
-  SysApi* sys_;
   Fccd fccd_;
   Fldc fldc_;
 };

@@ -7,21 +7,21 @@ GbpFileOrder GbpOrderFiles(SysApi* sys, const GbpOptions& options,
   GbpFileOrder result;
   switch (options.mode) {
     case GbpMode::kMem: {
-      Fccd fccd(sys, options.fccd);
+      Fccd fccd(sys);
       for (const RankedFile& rf : fccd.OrderFiles(paths)) {
         result.order.push_back(rf.path);
       }
       return result;
     }
     case GbpMode::kFile: {
-      Fldc fldc(sys, options.fldc);
+      Fldc fldc(sys);
       for (const StatOrderEntry& e : fldc.OrderByInode(paths)) {
         result.order.push_back(e.path);
       }
       return result;
     }
     case GbpMode::kCompose: {
-      Compose compose(sys, options.fccd, options.fldc);
+      Compose compose(sys);
       result.order = compose.OrderFiles(paths).order;
       return result;
     }
@@ -32,7 +32,7 @@ GbpFileOrder GbpOrderFiles(SysApi* sys, const GbpOptions& options,
 GbpOutPlan GbpPlanOut(SysApi* sys, const GbpOptions& options, const std::string& path) {
   GbpOutPlan plan;
   plan.path = path;
-  FccdOptions fccd_options = options.fccd;
+  FccdOptions fccd_options;
   fccd_options.align = options.align;
   Fccd fccd(sys, fccd_options);
   const auto file_plan = fccd.PlanFile(path);

@@ -32,8 +32,6 @@ struct GbpOptions {
   GbpMode mode = GbpMode::kMem;
   // Record alignment for -out extents (e.g. 100 for fastsort records).
   std::uint64_t align = 1;
-  FccdOptions fccd;
-  FldcOptions fldc;
 };
 
 struct GbpFileOrder {

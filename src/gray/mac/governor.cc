@@ -4,11 +4,15 @@
 
 namespace gray {
 
-GbGovernor::GbGovernor(SysApi* sys, GovernorOptions options)
-    : sys_(sys),
-      options_(options),
-      mac_(sys, options.mac),
-      rng_state_((options.seed != 0 ? options.seed : sys->Now() ^ 0x90b3) | 1) {}
+namespace {
+
+constexpr Nanos kBackoffBase = 100ULL * 1000 * 1000;  // 100 ms, jittered by [0.5, 1.5]
+constexpr int kMaxRounds = 120;                       // acquisition rounds before giving up
+
+}  // namespace
+
+GbGovernor::GbGovernor(SysApi* sys)
+    : sys_(sys), mac_(sys), rng_state_((sys->Now() ^ 0x90b3) | 1) {}
 
 Nanos GbGovernor::NextBackoff() {
   // splitmix64 step for the jittered backoff.
@@ -19,7 +23,7 @@ Nanos GbGovernor::NextBackoff() {
   // Uniform in [0.5, 1.5] x base: competitors that fail together retry at
   // different times.
   const double factor = 0.5 + static_cast<double>(z % 1000) / 1000.0;
-  return static_cast<Nanos>(static_cast<double>(options_.backoff_base) * factor);
+  return static_cast<Nanos>(static_cast<double>(kBackoffBase) * factor);
 }
 
 std::optional<std::vector<GbAllocation>> GbGovernor::AcquireAll(
@@ -27,7 +31,7 @@ std::optional<std::vector<GbAllocation>> GbGovernor::AcquireAll(
   if (requests.empty()) {
     return std::vector<GbAllocation>{};
   }
-  for (int round = 0; round < options_.max_rounds; ++round) {
+  for (int round = 0; round < kMaxRounds; ++round) {
     ++metrics_.rounds;
     std::vector<GbAllocation> held;
     held.reserve(requests.size());
@@ -64,7 +68,7 @@ std::optional<GbAllocation> GbGovernor::AcquireFair(const MemRequest& request,
   // it. The discovery allocation doubles as the reservation: shrink-in-place
   // by releasing and immediately reacquiring the capped amount (the gap is
   // covered by the backoff loop in case a peer grabs the released memory).
-  for (int round = 0; round < options_.max_rounds; ++round) {
+  for (int round = 0; round < kMaxRounds; ++round) {
     ++metrics_.rounds;
     auto probe = mac_.GbAlloc(request.min, request.max, request.multiple);
     if (!probe.has_value()) {

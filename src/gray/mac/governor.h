@@ -34,13 +34,6 @@ struct MemRequest {
   std::uint64_t multiple = 0;  // 0 = page size
 };
 
-struct GovernorOptions {
-  MacOptions mac;
-  Nanos backoff_base = 100ULL * 1000 * 1000;  // 100 ms
-  int max_rounds = 120;
-  std::uint64_t seed = 0;  // 0 = derive from the clock
-};
-
 struct GovernorMetrics {
   std::uint64_t rounds = 0;
   std::uint64_t partial_releases = 0;  // times we gave everything back
@@ -49,10 +42,11 @@ struct GovernorMetrics {
 
 class GbGovernor {
  public:
-  explicit GbGovernor(SysApi* sys, GovernorOptions options = GovernorOptions{});
+  // The backoff jitter is seeded from the clock.
+  explicit GbGovernor(SysApi* sys);
 
   // Acquires every request or nothing. Deadlock-free: a partial acquisition
-  // is never held across a wait. Returns nullopt after max_rounds.
+  // is never held across a wait. Returns nullopt after 120 rounds.
   [[nodiscard]] std::optional<std::vector<GbAllocation>> AcquireAll(
       std::span<const MemRequest> requests);
 
@@ -68,7 +62,6 @@ class GbGovernor {
   [[nodiscard]] Nanos NextBackoff();
 
   SysApi* sys_;
-  GovernorOptions options_;
   Mac mac_;
   GovernorMetrics metrics_;
   std::uint64_t rng_state_;

@@ -7,6 +7,21 @@
 
 namespace gray {
 
+namespace {
+
+// Consecutive slow second-loop touches that abort verification (the answer
+// is already "does not fit"; finishing would thrash).
+constexpr int kConsecutiveSlowAbort = 4;
+constexpr int kMaxRetries = 240;                      // give up after ~2 virtual minutes
+constexpr Nanos kRetrySleep = 500ULL * 1000 * 1000;  // legacy: 500 ms between retries
+// Hardened backoff (MacOptions::hardened).
+constexpr int kAbortStreakBackoff = 2;
+constexpr Nanos kBackoffInitial = 100ULL * 1000 * 1000;  // 100 ms
+constexpr Nanos kBackoffMax = 2000ULL * 1000 * 1000;     // 2 s
+constexpr double kBackoffGrowth = 1.5;
+
+}  // namespace
+
 // --- GbAllocation ---
 
 GbAllocation& GbAllocation::operator=(GbAllocation&& other) noexcept {
@@ -93,9 +108,7 @@ Mac::Mac(SysApi* sys, MacOptions options, const ParamRepository* repo)
   usage_.Describe(Technique::kProbes, "two-loop page-touch probes");
   usage_.Describe(Technique::kKnownState, "first loop forces pages resident");
 
-  if (options_.slow_threshold > 0) {
-    slow_threshold_ = options_.slow_threshold;
-  } else if (repo != nullptr && repo->Has(params::kMemZeroFillNs)) {
+  if (repo != nullptr && repo->Has(params::kMemZeroFillNs)) {
     // Anything much slower than an allocate+zero means the page daemon did
     // I/O on our behalf.
     slow_threshold_ =
@@ -190,7 +203,7 @@ bool Mac::ProbeFits(GbAllocation& allocation) {
     if (s.latency_ns > slow_threshold_) {
       ++metrics_.slow_touches;
       ++slow;
-      if (++consecutive_slow >= options_.consecutive_slow_abort) {
+      if (++consecutive_slow >= kConsecutiveSlowAbort) {
         aborted = true;
         return false;  // certainly paging; stop before thrashing further
       }
@@ -277,28 +290,28 @@ std::optional<GbAllocation> Mac::GbAllocBlocking(std::uint64_t min, std::uint64_
     // Legacy fixed-period loop, kept for A/B comparison under interference.
     // Its failure mode: a fixed 500 ms sleep can lock step with periodic
     // pressure so every retry lands inside the next burst.
-    for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
+    for (int attempt = 0; attempt <= kMaxRetries; ++attempt) {
       if (auto result = GbAlloc(min, max, multiple); result.has_value()) {
         return result;
       }
       ++metrics_.retries;
       const Nanos t0 = sys_->Now();
-      sys_->SleepNs(options_.retry_sleep);
+      sys_->SleepNs(kRetrySleep);
       metrics_.wait_time += sys_->Now() - t0;
     }
     return std::nullopt;
   }
 
-  Nanos sleep = options_.backoff_initial;
+  Nanos sleep = kBackoffInitial;
   int abort_streak = 0;
-  for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
+  for (int attempt = 0; attempt <= kMaxRetries; ++attempt) {
     if (auto result = GbAlloc(min, max, multiple); result.has_value()) {
       return result;
     }
     if (last_alloc_aborted_) {
       // The estimate collapsed hard (verification thrashed), not a mere
       // shortfall: after a streak, suspect the threshold itself.
-      if (++abort_streak >= options_.abort_streak_backoff) {
+      if (++abort_streak >= kAbortStreakBackoff) {
         Recalibrate();
         abort_streak = 0;
       }
@@ -313,8 +326,8 @@ std::optional<GbAllocation> Mac::GbAllocBlocking(std::uint64_t min, std::uint64_
     const Nanos t0 = sys_->Now();
     sys_->SleepNs(sleep);
     metrics_.wait_time += sys_->Now() - t0;
-    sleep = std::min(static_cast<Nanos>(static_cast<double>(sleep) * options_.backoff_growth),
-                     options_.backoff_max);
+    sleep = std::min(static_cast<Nanos>(static_cast<double>(sleep) * kBackoffGrowth),
+                     kBackoffMax);
   }
   return std::nullopt;
 }

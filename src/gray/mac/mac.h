@@ -42,29 +42,18 @@ struct MacOptions {
   // Consecutive slow first-loop touches that trigger the early skip to the
   // verification loop.
   int consecutive_slow_skip = 4;
-  // Consecutive slow second-loop touches that abort verification (the
-  // answer is already "does not fit"; finishing would thrash).
-  int consecutive_slow_abort = 4;
-  // 0 = take the threshold from the repository / self-calibration.
-  Nanos slow_threshold = 0;
-  Nanos retry_sleep = 500ULL * 1000 * 1000;  // 500 ms between admission retries
-  int max_retries = 240;                     // give up after ~2 virtual minutes
   // Interference hardening for the blocking path. Consecutive verification
   // aborts mean the memory estimate collapsed under interference (a shock,
   // a competitor's burst); hammering at a fixed period then thrashes — and
   // can lock step with periodic interference so every retry lands inside
   // the next burst. When true, GbAllocBlocking backs off exponentially
-  // (backoff_initial × backoff_growth^k, capped at backoff_max — growth 1.5
-  // deliberately breaks period-divisibility lockstep) and re-calibrates the
-  // slow threshold after abort_streak_backoff consecutive aborted attempts,
-  // clamped to [1x, 4x] of the construction-time threshold so a calibration
-  // taken mid-thrash cannot blind the detector. When false, the legacy
-  // fixed-retry_sleep loop runs for A/B comparison.
+  // (100 ms growing 1.5x per retry, capped at 2 s — growth 1.5 deliberately
+  // breaks period-divisibility lockstep) and re-calibrates the slow
+  // threshold after two consecutive aborted attempts, clamped to [1x, 4x]
+  // of the construction-time threshold so a calibration taken mid-thrash
+  // cannot blind the detector. When false, the legacy fixed 500 ms retry
+  // loop runs for A/B comparison.
   bool hardened = true;
-  int abort_streak_backoff = 2;
-  Nanos backoff_initial = 100ULL * 1000 * 1000;  // 100 ms
-  Nanos backoff_max = 2000ULL * 1000 * 1000;     // 2 s
-  double backoff_growth = 1.5;
 };
 
 struct MacMetrics {
@@ -130,7 +119,7 @@ class Mac {
                                                     std::uint64_t multiple);
 
   // Blocking variant: sleeps and retries until the minimum is available (or
-  // max_retries is exhausted, returning nullopt).
+  // 240 retries, about two virtual minutes, are exhausted, returning nullopt).
   [[nodiscard]] std::optional<GbAllocation> GbAllocBlocking(std::uint64_t min,
                                                             std::uint64_t max,
                                                             std::uint64_t multiple);

@@ -22,11 +22,7 @@ ProbeEngine::ProbeEngine(SysApi* sys, ProbeEngineOptions options)
       options_(options),
       trace_(sys->Trace()),
       page_size_(sys->PageSize()),
-      created_at_(sys->Now()) {
-  if (options_.max_batch == 0) {
-    options_.max_batch = 1;
-  }
-}
+      created_at_(sys->Now()) {}
 
 void ProbeEngine::BindMetrics(obs::MetricsRegistry* registry,
                               const std::string& prefix) const {
@@ -47,7 +43,7 @@ void ProbeEngine::BindMetrics(obs::MetricsRegistry* registry,
 Nanos ProbeEngine::lifetime() const { return sys_->Now() - created_at_; }
 
 ProbeSample ProbeEngine::RetryPread(const TimedPread& req, ProbeSample sample) {
-  Nanos backoff = options_.retry_backoff;
+  Nanos backoff = kRetryBackoff;
   for (std::size_t attempt = 0; attempt < options_.max_retries && ShouldRetry(sample);
        ++attempt) {
     sys_->SleepNs(backoff);  // let the interference burst pass; not timed
@@ -62,7 +58,7 @@ ProbeSample ProbeEngine::RetryPread(const TimedPread& req, ProbeSample sample) {
 
 ProbeSample ProbeEngine::RetryStat(const TimedStat& req, FileInfo* info,
                                    ProbeSample sample) {
-  Nanos backoff = options_.retry_backoff;
+  Nanos backoff = kRetryBackoff;
   for (std::size_t attempt = 0; attempt < options_.max_retries && ShouldRetry(sample);
        ++attempt) {
     sys_->SleepNs(backoff);
@@ -85,7 +81,7 @@ void ProbeEngine::NoteRunOutcome(std::span<const ProbeSample> samples) {
     failed += s.rc < 0 ? 1 : 0;
   }
   last_run_degraded_ = static_cast<double>(failed) >
-                       options_.degraded_failure_fraction * static_cast<double>(samples.size());
+                       kDegradedFailureFraction * static_cast<double>(samples.size());
 }
 
 void ProbeEngine::Reset() {
@@ -136,8 +132,8 @@ std::vector<ProbeSample> ProbeEngine::RunPreads(std::span<const TimedPread> reqs
   std::vector<ProbeSample> samples(reqs.size());
   std::vector<PreadOp> ops;
   std::vector<BatchResult> results;
-  for (std::size_t start = 0; start < reqs.size(); start += options_.max_batch) {
-    const std::size_t n = std::min(options_.max_batch, reqs.size() - start);
+  for (std::size_t start = 0; start < reqs.size(); start += kMaxBatch) {
+    const std::size_t n = std::min(kMaxBatch, reqs.size() - start);
     ops.resize(n);
     results.assign(n, BatchResult{});
     for (std::size_t i = 0; i < n; ++i) {
@@ -164,8 +160,8 @@ std::vector<ProbeSample> ProbeEngine::RunMemTouches(std::span<const TimedMemTouc
   std::vector<ProbeSample> samples(reqs.size());
   std::vector<MemTouchOp> ops;
   std::vector<BatchResult> results;
-  for (std::size_t start = 0; start < reqs.size(); start += options_.max_batch) {
-    const std::size_t n = std::min(options_.max_batch, reqs.size() - start);
+  for (std::size_t start = 0; start < reqs.size(); start += kMaxBatch) {
+    const std::size_t n = std::min(kMaxBatch, reqs.size() - start);
     ops.resize(n);
     results.assign(n, BatchResult{});
     for (std::size_t i = 0; i < n; ++i) {
@@ -194,8 +190,8 @@ std::vector<ProbeSample> ProbeEngine::RunStats(std::span<const TimedStat> reqs,
   infos->assign(reqs.size(), FileInfo{});
   std::vector<std::string> paths;
   std::vector<BatchResult> results;
-  for (std::size_t start = 0; start < reqs.size(); start += options_.max_batch) {
-    const std::size_t n = std::min(options_.max_batch, reqs.size() - start);
+  for (std::size_t start = 0; start < reqs.size(); start += kMaxBatch) {
+    const std::size_t n = std::min(kMaxBatch, reqs.size() - start);
     paths.resize(n);
     results.assign(n, BatchResult{});
     for (std::size_t i = 0; i < n; ++i) {
@@ -245,7 +241,7 @@ std::vector<ProbeSample> ProbeEngine::RunNetPings(std::span<const TimedNetPing> 
   const Nanos run_t0 = traced ? sys_->Now() : 0;
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     ProbeSample sample = PingOnce(reqs[i]);
-    Nanos backoff = options_.retry_backoff;
+    Nanos backoff = kRetryBackoff;
     for (std::size_t attempt = 0; attempt < options_.max_retries && ShouldRetry(sample);
          ++attempt) {
       sys_->SleepNs(backoff);  // let the loss burst pass; not timed

@@ -75,21 +75,13 @@ struct ProbeSample {
 };
 
 struct ProbeEngineOptions {
-  // Requests per SysApi batch call; bounds per-batch memory and lets long
-  // plans interleave with competitors at sub-batch boundaries.
-  std::size_t max_batch = 256;
   // Failure-aware retry: a sample whose rc the backend classifies as
   // transient (SysApi::IsTransientError) is re-issued scalar up to this many
-  // times, sleeping retry_backoff, 2*retry_backoff, ... between attempts so
-  // a burst of interference can pass. The backoff sleep is NOT part of the
-  // sample latency — only the operation itself is timed. 0 restores the
-  // legacy fire-once behavior.
+  // times, sleeping 200 us, 400 us, ... between attempts so a burst of
+  // interference can pass. The backoff sleep is NOT part of the sample
+  // latency — only the operation itself is timed. 0 restores the legacy
+  // fire-once behavior.
   std::size_t max_retries = 2;
-  Nanos retry_backoff = 200'000;  // 200 us
-  // A run whose (post-retry) failure fraction exceeds this marks the engine
-  // degraded for that run — the ICL's cue to distrust the batch wholesale
-  // rather than dissect poisoned samples.
-  double degraded_failure_fraction = 0.25;
 };
 
 // Per-layer accounting of observation overhead. Everything an ICL needs to
@@ -119,6 +111,10 @@ struct ProbeReport {
 
 class ProbeEngine {
  public:
+  // Requests per SysApi batch call; bounds per-batch memory and lets long
+  // plans interleave with competitors at sub-batch boundaries.
+  static constexpr std::size_t kMaxBatch = 256;
+
   explicit ProbeEngine(SysApi* sys, ProbeEngineOptions options = ProbeEngineOptions{});
 
   // Executes and times every request, in order; returns one sample per
@@ -162,9 +158,8 @@ class ProbeEngine {
   // EIO's latency measures the kernel's retry loop, not cache state, and
   // folding it in would poison every mean/percentile downstream.
   [[nodiscard]] const RunningStats& latency_stats() const { return latency_stats_; }
-  // True when the last Run* call's failure fraction exceeded
-  // degraded_failure_fraction — the per-batch "don't trust this ranking"
-  // signal hardened ICLs consult.
+  // True when more than a quarter of the last Run* call's samples failed —
+  // the per-batch "don't trust this ranking" signal hardened ICLs consult.
   [[nodiscard]] bool last_run_degraded() const { return last_run_degraded_; }
   // Virtual time since construction/reset; report().ProbeShare(lifetime())
   // is the probe-time share of this engine's owner.
@@ -172,7 +167,6 @@ class ProbeEngine {
   void Reset();
 
   [[nodiscard]] SysApi* sys() const { return sys_; }
-  [[nodiscard]] const ProbeEngineOptions& options() const { return options_; }
 
   // Log-bucketed distribution of every successful sample latency — the
   // richer sibling of latency_stats() (which keeps only moments).
@@ -190,6 +184,13 @@ class ProbeEngine {
 
  private:
   enum class Kind { kPread, kMemTouch, kStat, kNetPing };
+
+  // First sleep of the retry backoff; it doubles per attempt.
+  static constexpr Nanos kRetryBackoff = 200'000;  // 200 us
+  // A run whose (post-retry) failure fraction exceeds this marks the engine
+  // degraded for that run — the ICL's cue to distrust the batch wholesale
+  // rather than dissect poisoned samples.
+  static constexpr double kDegradedFailureFraction = 0.25;
 
   // One send + echo-wait round trip with a fresh tag.
   ProbeSample PingOnce(const TimedNetPing& req);

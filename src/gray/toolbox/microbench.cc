@@ -9,6 +9,10 @@ namespace gray {
 
 namespace {
 constexpr std::uint64_t kMb = 1024 * 1024;
+constexpr const char* kScratchDir = "/d0/.graybench";
+constexpr std::uint64_t kDiskTestBytes = 128 * kMb;  // the disk measurements' file
+constexpr int kRandomProbes = 32;                    // pages timed for random access
+constexpr std::uint64_t kSeed = 0x9b5;               // random page and slot choices
 
 double ToMbs(std::uint64_t bytes, Nanos elapsed) {
   if (elapsed == 0) {
@@ -21,9 +25,9 @@ double ToMbs(std::uint64_t bytes, Nanos elapsed) {
 
 Microbench::Microbench(SysApi* sys, MicrobenchOptions options)
     : sys_(sys),
-      options_(std::move(options)),
+      options_(options),
       engine_(sys),
-      rng_state_(options_.seed | 1) {}
+      rng_state_(kSeed | 1) {}
 
 std::uint64_t Microbench::NextRandom() {
   // splitmix64 step — deterministic and dependency-free.
@@ -34,8 +38,8 @@ std::uint64_t Microbench::NextRandom() {
 }
 
 std::string Microbench::EnsureFile(const std::string& name, std::uint64_t bytes) {
-  (void)sys_->Mkdir(options_.scratch_dir);
-  const std::string path = options_.scratch_dir + "/" + name;
+  (void)sys_->Mkdir(kScratchDir);
+  const std::string path = std::string(kScratchDir) + "/" + name;
   FileInfo info;
   if (sys_->Stat(path, &info) == 0 && info.size >= bytes) {
     return path;
@@ -75,7 +79,7 @@ void Microbench::PurgeCache() {
 }
 
 double Microbench::MeasureSeqDiskBandwidthMbs() {
-  const std::string path = EnsureFile("seq.dat", options_.disk_test_bytes);
+  const std::string path = EnsureFile("seq.dat", kDiskTestBytes);
   if (path.empty()) {
     return 0.0;
   }
@@ -85,16 +89,16 @@ double Microbench::MeasureSeqDiskBandwidthMbs() {
     return 0.0;
   }
   const Nanos t0 = sys_->Now();
-  for (std::uint64_t off = 0; off < options_.disk_test_bytes; off += kMb) {
+  for (std::uint64_t off = 0; off < kDiskTestBytes; off += kMb) {
     (void)sys_->Pread(fd, {}, kMb, off);
   }
   const Nanos elapsed = sys_->Now() - t0;
   (void)sys_->Close(fd);
-  return ToMbs(options_.disk_test_bytes, elapsed);
+  return ToMbs(kDiskTestBytes, elapsed);
 }
 
 double Microbench::MeasureRandomPageAccessNs() {
-  const std::string path = EnsureFile("seq.dat", options_.disk_test_bytes);
+  const std::string path = EnsureFile("seq.dat", kDiskTestBytes);
   if (path.empty()) {
     return 0.0;
   }
@@ -104,11 +108,11 @@ double Microbench::MeasureRandomPageAccessNs() {
     return 0.0;
   }
   const std::uint32_t ps = sys_->PageSize();
-  const std::uint64_t pages = options_.disk_test_bytes / ps;
+  const std::uint64_t pages = kDiskTestBytes / ps;
   std::vector<TimedPread> reqs;
-  reqs.reserve(static_cast<std::size_t>(options_.random_probes));
+  reqs.reserve(kRandomProbes);
   std::vector<bool> probed(pages, false);
-  for (int i = 0; i < options_.random_probes; ++i) {
+  for (int i = 0; i < kRandomProbes; ++i) {
     std::uint64_t page = NextRandom() % pages;
     while (probed[page]) {
       page = (page + 1) % pages;  // never re-time a page we faulted in
@@ -210,7 +214,7 @@ double Microbench::MeasureProbeHitNs() {
 }
 
 double Microbench::CalibrateAccessUnitBytes() {
-  const std::string path = EnsureFile("seq.dat", options_.disk_test_bytes);
+  const std::string path = EnsureFile("seq.dat", kDiskTestBytes);
   if (path.empty()) {
     return 0.0;
   }
@@ -224,7 +228,7 @@ double Microbench::CalibrateAccessUnitBytes() {
       return 0.0;
     }
     const std::uint64_t unit = units[u];
-    const std::uint64_t slots = options_.disk_test_bytes / unit;
+    const std::uint64_t slots = kDiskTestBytes / unit;
     // Read a handful of units at pseudo-random positions: each read pays
     // one seek amortized over `unit` bytes.
     const int reads = static_cast<int>(std::min<std::uint64_t>(4, slots));
@@ -249,9 +253,9 @@ double Microbench::CalibrateAccessUnitBytes() {
 }
 
 bool Microbench::RunAll(ParamRepository* repo) {
-  if (sys_->Mkdir(options_.scratch_dir) < 0) {
+  if (sys_->Mkdir(kScratchDir) < 0) {
     FileInfo info;
-    if (sys_->Stat(options_.scratch_dir, &info) != 0 || !info.is_dir) {
+    if (sys_->Stat(kScratchDir, &info) != 0 || !info.is_dir) {
       return false;
     }
   }
@@ -267,9 +271,9 @@ bool Microbench::RunAll(ParamRepository* repo) {
 
 void Microbench::Cleanup() {
   for (const char* name : {"purge.dat", "seq.dat", "warm.dat"}) {
-    (void)sys_->Unlink(options_.scratch_dir + "/" + name);
+    (void)sys_->Unlink(std::string(kScratchDir) + "/" + name);
   }
-  (void)sys_->Rmdir(options_.scratch_dir);
+  (void)sys_->Rmdir(kScratchDir);
 }
 
 }  // namespace gray

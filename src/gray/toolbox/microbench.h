@@ -23,12 +23,8 @@
 namespace gray {
 
 struct MicrobenchOptions {
-  std::string scratch_dir = "/d0/.graybench";
   // Approximate physical memory; used to size the cache-purging stream.
   std::uint64_t mem_hint_bytes = 896ULL * 1024 * 1024;
-  std::uint64_t disk_test_bytes = 256ULL * 1024 * 1024;
-  int random_probes = 32;
-  std::uint64_t seed = 0x9b5;
 };
 
 class Microbench {

@@ -14,10 +14,9 @@
 // suite): tracing never touches the virtual clock, the jitter stream, or
 // the event queue — trace-on and trace-off runs are bit-identical in
 // virtual time and OsStats. Disabled, every emitter is a single branch on
-// `enabled_` (no allocation, no clock read); compiled out entirely with
-// -DGRAYSIM_TRACE_COMPILED=0, the emitters are empty inline functions. The
-// ring buffer is pre-sized at Enable(): recording never allocates, and
-// overflow overwrites the OLDEST event, counted in dropped().
+// `enabled_` (no allocation, no clock read). The ring buffer is pre-sized at
+// Enable(): recording never allocates, and overflow overwrites the OLDEST
+// event, counted in dropped().
 #ifndef SRC_OBS_TRACE_H_
 #define SRC_OBS_TRACE_H_
 
@@ -26,10 +25,6 @@
 #include <cstdio>
 #include <string>
 #include <vector>
-
-#ifndef GRAYSIM_TRACE_COMPILED
-#define GRAYSIM_TRACE_COMPILED 1
-#endif
 
 namespace obs {
 
@@ -86,58 +81,37 @@ class TraceSink {
   void Disable();
 
   [[nodiscard]] bool enabled() const { return enabled_; }
-  [[nodiscard]] static constexpr bool compiled_in() { return GRAYSIM_TRACE_COMPILED != 0; }
 
   // ---- emitters (hot path: one branch when disabled) ----
   void Begin(std::uint32_t track, const char* name, Nanos vt) {
-#if GRAYSIM_TRACE_COMPILED
     if (enabled_) {
       Push(TraceEvent{vt, 0, HostNs(), 0, name, nullptr, track, Phase::kBegin});
     }
-#else
-    (void)track, (void)name, (void)vt;
-#endif
   }
   void End(std::uint32_t track, const char* name, Nanos vt) {
-#if GRAYSIM_TRACE_COMPILED
     if (enabled_) {
       Push(TraceEvent{vt, 0, HostNs(), 0, name, nullptr, track, Phase::kEnd});
     }
-#else
-    (void)track, (void)name, (void)vt;
-#endif
   }
   void Instant(std::uint32_t track, const char* name, Nanos vt,
                const char* arg_name = nullptr, std::uint64_t arg = 0) {
-#if GRAYSIM_TRACE_COMPILED
     if (enabled_) {
       Push(TraceEvent{vt, 0, HostNs(), arg, name, arg_name, track, Phase::kInstant});
     }
-#else
-    (void)track, (void)name, (void)vt, (void)arg_name, (void)arg;
-#endif
   }
   // A span whose start and duration are both known at emit time (e.g. a
   // disk request: service window computed at submit). `vt_start` may lie in
   // the virtual future — exporters sort by timestamp.
   void Complete(std::uint32_t track, const char* name, Nanos vt_start, Nanos dur,
                 const char* arg_name = nullptr, std::uint64_t arg = 0) {
-#if GRAYSIM_TRACE_COMPILED
     if (enabled_) {
       Push(TraceEvent{vt_start, dur, HostNs(), arg, name, arg_name, track, Phase::kComplete});
     }
-#else
-    (void)track, (void)name, (void)vt_start, (void)dur, (void)arg_name, (void)arg;
-#endif
   }
   void Counter(std::uint32_t track, const char* name, Nanos vt, std::uint64_t value) {
-#if GRAYSIM_TRACE_COMPILED
     if (enabled_) {
       Push(TraceEvent{vt, 0, HostNs(), value, name, "value", track, Phase::kCounter});
     }
-#else
-    (void)track, (void)name, (void)vt, (void)value;
-#endif
   }
 
   // ---- inspection & export ----

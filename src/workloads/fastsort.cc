@@ -141,7 +141,7 @@ FastsortReport Fastsort::Run(const FastsortOptions& options) {
   gray::SimSys sys(os_, pid_);
   std::optional<gray::Mac> mac;
   if (options.use_mac) {
-    mac.emplace(&sys, options.mac);
+    mac.emplace(&sys);
   }
 
   std::uint64_t remaining = input_size;

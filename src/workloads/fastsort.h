@@ -33,7 +33,6 @@ struct FastsortOptions {
   bool use_mac = false;
   std::uint64_t mac_min = 100ULL * 1024 * 1024;
   std::uint64_t mac_max = 0;  // 0 = remaining input
-  gray::MacOptions mac;
   ReadOrder read_order = ReadOrder::kLinear;
   bool write_runs = true;  // false = read phase only (Fig 3)
 };

@@ -152,7 +152,7 @@ TEST(ClassicTcp, SendersShareABottleneckFairly) {
   EXPECT_EQ(r.random_losses, 0u);
   for (const TcpIclResult& s : r.senders) {
     EXPECT_GT(s.acked, 0u);
-    EXPECT_LE(s.rto, o.sender.max_rto) << "hardened RTO must stay bounded";
+    EXPECT_LE(s.rto, TcpIcl::kMaxRto) << "the RTO must stay bounded";
   }
 }
 
@@ -200,7 +200,7 @@ TEST(ClassicTcp, SurvivesChaosInterference) {
   EXPECT_GT(r.delivered, 100u) << "the hardened ICL keeps the pipe moving";
   for (const TcpIclResult& s : r.senders) {
     EXPECT_GT(s.acked, 0u);
-    EXPECT_LE(s.rto, o.sender.max_rto);
+    EXPECT_LE(s.rto, TcpIcl::kMaxRto);
   }
 }
 
@@ -208,12 +208,12 @@ TEST(ClassicTcp, SurvivesChaosInterference) {
 
 CoschedScenarioOptions CoschedOpts(WaitPolicy policy) {
   CoschedScenarioOptions o;
-  o.proc.policy = policy;
+  o.policy = policy;
   return o;
 }
 
 std::uint64_t TotalWaits(const CoschedScenarioResult& r) {
-  return static_cast<std::uint64_t>(r.procs.size()) * 200;
+  return static_cast<std::uint64_t>(r.procs.size()) * CoschedIcl::kIterations;
 }
 
 TEST(ClassicCosched, BlockImmediateNeverSpinsAndAlwaysBlocks) {
@@ -245,7 +245,7 @@ TEST(ClassicCosched, TwoPhaseSplitsWaitsByObservedResponseTime) {
   EXPECT_GT(r.spin_time, 0u);
   EXPECT_FALSE(r.any_gave_up);
   for (const CoschedIclResult& p : r.procs) {
-    EXPECT_EQ(p.iterations_done, 200u);
+    EXPECT_EQ(p.iterations_done, static_cast<std::uint64_t>(CoschedIcl::kIterations));
     EXPECT_GT(p.benchmark_rtt, 0u) << "the RTT benchmark must have run";
     EXPECT_GT(p.rtt_estimate, 0u);
   }
@@ -278,7 +278,7 @@ TEST(ClassicCosched, SurvivesChaosInterference) {
   const CoschedScenarioResult r = RunCoschedScenario(o);
   EXPECT_FALSE(r.any_gave_up) << "hardened resends must recover dropped requests";
   for (const CoschedIclResult& p : r.procs) {
-    EXPECT_EQ(p.iterations_done, 200u);
+    EXPECT_EQ(p.iterations_done, static_cast<std::uint64_t>(CoschedIcl::kIterations));
   }
 }
 
@@ -288,7 +288,7 @@ TEST(ClassicManners, BacksOffForTheForegroundWhereGreedyDoesNot) {
   MannersScenarioOptions governed;
   governed.fg_active = MidFg;
   MannersScenarioOptions greedy = governed;
-  greedy.bg.governed = false;
+  greedy.governed = false;
   const MannersScenarioResult m = RunMannersScenario(governed);
   const MannersScenarioResult g = RunMannersScenario(greedy);
   EXPECT_GT(m.bg.suspensions, 0u);
@@ -334,7 +334,6 @@ TEST_P(ClassicReplayTest, TcpReplaysBitIdentically) {
 TEST_P(ClassicReplayTest, CoschedReplaysBitIdentically) {
   CoschedScenarioOptions o = CoschedOpts(WaitPolicy::kTwoPhase);
   o.profile = Profile(GetParam());
-  o.proc.iterations = 60;
   EXPECT_EQ(Snap(RunCoschedScenario(o)), Snap(RunCoschedScenario(o)));
   o.chaos = FaultPlan::Interference(0.25);
   EXPECT_EQ(Snap(RunCoschedScenario(o)), Snap(RunCoschedScenario(o)));
@@ -344,7 +343,6 @@ TEST_P(ClassicReplayTest, MannersReplaysBitIdentically) {
   MannersScenarioOptions o;
   o.profile = Profile(GetParam());
   o.fg_active = MidFg;
-  o.bg.run_for = 2'000'000'000;
   EXPECT_EQ(Snap(RunMannersScenario(o)), Snap(RunMannersScenario(o)));
   o.chaos = FaultPlan::Interference(0.25);
   EXPECT_EQ(Snap(RunMannersScenario(o)), Snap(RunMannersScenario(o)));

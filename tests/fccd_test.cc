@@ -131,7 +131,7 @@ TEST(FccdTest, SubPageFileGetsFakeHighTimeWithoutProbing) {
   ASSERT_TRUE(plan.has_value());
   ASSERT_EQ(plan->units.size(), 1u);
   EXPECT_EQ(plan->units[0].probes, 0);
-  EXPECT_EQ(plan->units[0].probe_time, fccd.options().fake_high_time);
+  EXPECT_EQ(plan->units[0].probe_time, Fccd::kFakeHighTime);
   // Heisenberg guard: the file must NOT have been faulted in.
   EXPECT_FALSE(f.os.PageResidentPath("/d0/tiny", 0));
 }

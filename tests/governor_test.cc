@@ -60,8 +60,6 @@ TEST(GovernorTest, HoldAndWaitDeadlocksButReleaseOnFailureDoesNot) {
       bodies.push_back([&os, &successes, use_governor](Pid pid) {
         SimSys sys(&os, pid);
         if (use_governor) {
-          GovernorOptions options;
-          options.max_rounds = 60;
           GbGovernor governor(&sys);
           auto held = governor.AcquireAll(std::vector<MemRequest>{
               {110 * kMb, 110 * kMb, 4096}, {80 * kMb, 80 * kMb, 4096}});

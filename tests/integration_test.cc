@@ -37,7 +37,6 @@ TEST(IntegrationTest, MicrobenchRepositoryFeedsFccd) {
 
   gray::MicrobenchOptions mb_options;
   mb_options.mem_hint_bytes = os.config().phys_mem_bytes;
-  mb_options.disk_test_bytes = 64 * kMb;
   gray::Microbench bench(&sys, mb_options);
   gray::ParamRepository repo;
   ASSERT_TRUE(bench.RunAll(&repo));

@@ -194,9 +194,7 @@ TEST(MacTest, BlockingAllocWaitsForRelease) {
       },
       [&](Pid pid) {
         SimSys sys(&os, pid);
-        MacOptions options;
-        options.retry_sleep = graysim::Millis(200.0);
-        Mac mac(&sys, options);
+        Mac mac(&sys);
         auto alloc = mac.GbAllocBlocking(128 * kMb, 160 * kMb, 4096);
         got = alloc.has_value();
         if (alloc) {

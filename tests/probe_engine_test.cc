@@ -183,16 +183,16 @@ TEST_P(BatchEquivalenceTest, EngineStrategiesAgreeAndAccount) {
   ASSERT_EQ(fd_s, fd_b);
 
   ProbeEngine loop_engine(&sys_loop);
-  // A small max_batch so the run exercises sub-batch chunking.
-  ProbeEngineOptions small_batches;
-  small_batches.max_batch = 7;
-  ProbeEngine batched_engine(&f.sys_batched, small_batches);
+  ProbeEngine batched_engine(&f.sys_batched);
 
+  // More requests than one batch holds, so the run exercises sub-batch
+  // chunking.
   const std::uint32_t ps = sys_loop.PageSize();
   std::vector<TimedPread> reqs;
-  for (std::uint64_t p = 0; p < 100; ++p) {
+  for (std::uint64_t p = 0; p < 300; ++p) {
     reqs.push_back(TimedPread{fd_b, 1, p * 3 * ps});
   }
+  ASSERT_GT(reqs.size(), ProbeEngine::kMaxBatch);
   const auto loop_samples = loop_engine.RunPreads(reqs);
   const auto batched_samples = batched_engine.RunPreads(reqs);
 
@@ -204,7 +204,8 @@ TEST_P(BatchEquivalenceTest, EngineStrategiesAgreeAndAccount) {
 
   EXPECT_EQ(loop_engine.report().probes, reqs.size());
   EXPECT_EQ(batched_engine.report().probes, reqs.size());
-  EXPECT_EQ(batched_engine.report().batches, (reqs.size() + 6) / 7);
+  EXPECT_EQ(batched_engine.report().batches,
+            (reqs.size() + ProbeEngine::kMaxBatch - 1) / ProbeEngine::kMaxBatch);
   EXPECT_EQ(loop_engine.report().pread_probes, reqs.size());
   EXPECT_EQ(loop_engine.report().bytes_touched, reqs.size());  // 1-byte probes
   EXPECT_EQ(loop_engine.latency_stats().count(), reqs.size());

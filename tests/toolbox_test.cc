@@ -162,7 +162,6 @@ TEST(MicrobenchTest, MeasuresSaneParameters) {
   SimSys sys(&os, os.default_pid());
   MicrobenchOptions options;
   options.mem_hint_bytes = os.config().phys_mem_bytes;
-  options.disk_test_bytes = 64ULL * 1024 * 1024;  // keep the test quick
   Microbench bench(&sys, options);
   ParamRepository repo;
   ASSERT_TRUE(bench.RunAll(&repo));

@@ -35,9 +35,6 @@ TEST(TraceSink, DisabledEmittersRecordNothing) {
 }
 
 TEST(TraceSink, RingWraparoundDropsOldestFirst) {
-  if (!obs::TraceSink::compiled_in()) {
-    GTEST_SKIP() << "built with GRAYSIM_TRACE=OFF";
-  }
   obs::TraceSink sink;
   sink.Enable(/*capacity=*/4);
   for (std::uint64_t i = 0; i < 10; ++i) {
@@ -56,9 +53,6 @@ TEST(TraceSink, RingWraparoundDropsOldestFirst) {
 }
 
 TEST(TraceSink, ReenableClearsEventsButKeepsTracks) {
-  if (!obs::TraceSink::compiled_in()) {
-    GTEST_SKIP() << "built with GRAYSIM_TRACE=OFF";
-  }
   obs::TraceSink sink;
   const std::uint32_t t = sink.RegisterTrack("custom");
   EXPECT_EQ(t, obs::kNumWellKnownTracks);
@@ -163,9 +157,6 @@ Snapshot RunWorkload(const PlatformProfile& profile, bool traced,
 // ---- span nesting ----
 
 TEST(Trace, KernelSpansNestWellFormedPerTrack) {
-  if (!obs::TraceSink::compiled_in()) {
-    GTEST_SKIP() << "tracing compiled out (GRAYSIM_TRACE=OFF)";
-  }
   std::vector<obs::TraceEvent> events;
   std::vector<std::string> tracks;
   (void)RunWorkload(PlatformProfile::Linux22(), /*traced=*/true, &events, &tracks);
@@ -224,9 +215,6 @@ TEST(Trace, KernelSpansNestWellFormedPerTrack) {
 // ---- Chrome JSON export ----
 
 TEST(Trace, ChromeJsonExportIsMinimallyValid) {
-  if (!obs::TraceSink::compiled_in()) {
-    GTEST_SKIP() << "tracing compiled out (GRAYSIM_TRACE=OFF)";
-  }
   Machine machine(PlatformProfile::Linux22());
   Os& os = machine.os();
   os.StartTrace(1 << 14);
@@ -319,9 +307,7 @@ TEST_P(TracePassivityTest, TraceOnAndOffAreBitIdentical) {
   EXPECT_TRUE(off.chaos == on.chaos);
   EXPECT_EQ(off.queue_totals, on.queue_totals);
   EXPECT_GT(off.virtual_time, 0u);
-  if (obs::TraceSink::compiled_in()) {
-    EXPECT_FALSE(events.empty()) << "traced run recorded nothing";
-  }
+  EXPECT_FALSE(events.empty()) << "traced run recorded nothing";
 }
 
 INSTANTIATE_TEST_SUITE_P(Platforms, TracePassivityTest,
